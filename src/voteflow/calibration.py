@@ -59,6 +59,9 @@ class PollSeries:
         positions = np.array(self.positions, dtype=np.float64)
         if times.ndim != 1 or len(times) < 3:
             raise TooFewObservations(f"need at least 3 observations, got {times.shape}")
+        for name, arr in (("times", times), ("supports", supports), ("positions", positions)):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ValidationError("observation times must be strictly increasing")
         if supports.shape != (len(times), len(positions)):

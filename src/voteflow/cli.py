@@ -248,7 +248,7 @@ def _write_text(out_path: Optional[str], text: str, stdout: TextIO) -> None:
     else:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        stdout.write(f"wrote {out_path}\n")
+        print(f"wrote {out_path}", file=sys.stderr)
 
 
 def _json_text(obj) -> str:
@@ -328,12 +328,11 @@ def cmd_forecast(args, stdout: TextIO) -> int:
             "cells": cells,
         },
         "dead_zones": {
-            name: all(cell.ordering[0] != i for cell in partition.cells)
-            for i, name in enumerate(cfg.names)
+            name: is_dead_zone(model, i).is_dead for i, name in enumerate(cfg.names)
         },
     }
 
-    stdout.write(f"ordering probabilities sum to {_fmt(ordering_sum)}\n")
+    print(f"ordering probabilities sum to {_fmt(ordering_sum)}", file=sys.stderr)
     if args.format == "csv":
         rows = [
             (name, float(x), float(p), float(outcome.win_probs[i]),
@@ -480,11 +479,7 @@ def cmd_deadzone(args, stdout: TextIO) -> int:
     reports = {}
     for i, name in enumerate(cfg.names):
         rep = is_dead_zone(model, i)
-        reports[name] = {
-            "is_dead": rep.is_dead,
-            "sigma_bound": rep.sigma_bound,
-            "method": rep.method,
-        }
+        reports[name] = {"is_dead": rep.is_dead, "sigma_bound": rep.sigma_bound}
     obj = {
         "spectrum_convention": SPECTRUM_NOTE,
         "sigma": _schedule_json(model.schedule),
@@ -607,6 +602,8 @@ def read_poll_csv(path: str, names: Sequence[str], positions: Sequence[float]) -
             values = [float(c) for c in cells]
         except ValueError as exc:
             raise CsvDataError(f"{path} row {row_no}: {exc}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise CsvDataError(f"{path} row {row_no}: non-finite value in {line!r}")
         times.append(values[0])
         supports.append([values[1:][i] for i in order])
     return PollSeries(

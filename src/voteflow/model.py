@@ -97,17 +97,8 @@ class InfoSchedule:
     def is_constant(self) -> bool:
         return len(self.rates) == 1
 
-    def rate_at(self, t: float) -> float:
-        """Rate of the segment containing t (right-continuous)."""
-        i = 0
-        for b in self.breakpoints:
-            if t < b:
-                break
-            i += 1
-        return self.rates[i]
-
     def rates_at(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized rate_at."""
+        """Rate of the segment containing each time (right-continuous)."""
         idx = np.searchsorted(np.asarray(self.breakpoints), np.asarray(times), side="right")
         return np.asarray(self.rates)[idx]
 

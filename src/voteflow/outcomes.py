@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveRate,
 )
 from .gaussian import normal_cdf, normal_cdf_diff
-from .model import ElectionModel, posterior_support
+from .model import ElectionModel
 
 __all__ = [
     "CrossingThreshold",
@@ -138,12 +138,14 @@ def _log_ratio(num: float, den: float) -> float:
 def ordering_partition(model: ElectionModel) -> OrderingPartition:
     """Partition accumulated-signal space by the election-day ranking.
 
-    The ranking on each cell is found constructively: evaluate the posterior
-    at the cell midpoint (or one unit beyond the end boundary for the
-    unbounded cells) and sort, ties broken by lower candidate index. This
-    works for any number of candidates. Adjacent cells with identical
-    rankings are merged; exactly coincident thresholds trigger a
-    DegenerateTieWarning and count into ``tie_count``.
+    The ranking on each cell is found constructively: evaluate each
+    candidate's log posterior weight (up to a common constant) at the cell
+    midpoint, or one unit beyond the end boundary for the unbounded cells,
+    and sort, ties broken by lower candidate index. The log weights do not
+    underflow, so trailing candidates are ranked too; only zero-prior
+    candidates tie, at -inf. This works for any number of candidates.
+    Adjacent cells with identical rankings are merged; exactly coincident
+    thresholds trigger a DegenerateTieWarning and count into ``tie_count``.
     """
     n = model.n_candidates
     priors = model.priors
@@ -169,12 +171,13 @@ def ordering_partition(model: ElectionModel) -> OrderingPartition:
             stacklevel=2,
         )
 
+    x = model.positions_arr
+    log_weight = model.log_priors_arr - 0.5 * x * x * model.terminal_variance
     edges = [-math.inf, *boundaries, math.inf]
     cells: list[PartitionCell] = []
     for lo, hi in zip(edges, edges[1:]):
-        probe = _probe_point(lo, hi)
-        support = posterior_support(model, probe, model.horizon)
-        ordering = tuple(int(i) for i in np.argsort(-support, kind="stable"))
+        score = log_weight + _probe_point(lo, hi) * x
+        ordering = tuple(int(i) for i in np.argsort(-score, kind="stable"))
         if cells and cells[-1].ordering == ordering:
             cells[-1] = PartitionCell(cells[-1].lower, hi, ordering)
         else:

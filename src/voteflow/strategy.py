@@ -15,7 +15,6 @@ independent closed-form evaluation, assembled in deterministic grid order.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -31,7 +30,7 @@ from .errors import (
     ZeroPrior,
 )
 from .model import ElectionModel, posterior_support
-from .outcomes import crossing_threshold, ordering_partition, win_probabilities
+from .outcomes import crossing_threshold, win_probabilities
 
 __all__ = [
     "DeadZoneReport",
@@ -47,15 +46,9 @@ __all__ = [
     "default_sigma_grid",
 ]
 
-logger = logging.getLogger(__name__)
-
 #: Residual tolerance for the support-maximum first-order condition,
 #: measured on the posterior-weighted (overflow-free) form.
 ROOT_RESIDUAL_TOL = 1e-10
-
-#: Width tolerance for the dead-zone boundary bisection.
-BOUND_BISECTION_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class DeadZoneReport:
@@ -70,7 +63,6 @@ class DeadZoneReport:
     candidate: int
     is_dead: bool
     sigma_bound: Optional[float]
-    method: str = "direct-threshold"
 
 
 @dataclass(frozen=True)
@@ -128,17 +120,27 @@ def default_sigma_grid() -> tuple[float, ...]:
 
 
 def is_dead_zone(model: ElectionModel, k: int) -> DeadZoneReport:
-    """Whether candidate k ranks first on no cell of the ordering partition.
+    """Whether candidate k ranks first for no value of the terminal signal.
 
-    Works for any number of candidates and any k. For the three-candidate
-    centre seat (all priors positive, constant rate) the report also carries
-    the rate bound below which the dead zone persists.
+    Any two candidates' support rates cross exactly once, and above the
+    crossing the candidate further right leads the pair. So k leads the
+    whole field exactly on the open interval (L_k, U_k), where L_k is the
+    largest crossing with a candidate to the left (-inf if none) and U_k the
+    smallest crossing with a candidate to the right (+inf if none); a
+    zero-prior rival crosses at -+inf and so never binds. k is dead when its
+    own prior is zero or the interval is empty. Works for any number of
+    candidates and any k. For the three-candidate centre seat (all priors
+    positive, constant rate) the report also carries the rate bound below
+    which the dead zone persists.
     """
     n = model.n_candidates
     if not (0 <= k < n):
         raise ValidationError(f"candidate index {k} outside [0, {n})")
-    partition = ordering_partition(model)
-    dead = all(cell.ordering[0] != k for cell in partition.cells)
+    lower = max((crossing_threshold(model, j, k).value for j in range(k)), default=-math.inf)
+    upper = min(
+        (crossing_threshold(model, k, j).value for j in range(k + 1, n)), default=math.inf
+    )
+    dead = model.priors[k] == 0.0 or not (lower < upper)
     bound = None
     if (
         n == 3
@@ -150,91 +152,41 @@ def is_dead_zone(model: ElectionModel, k: int) -> DeadZoneReport:
     return DeadZoneReport(candidate=k, is_dead=dead, sigma_bound=bound)
 
 
-def _centre_dead_at(positions, priors, horizon, sigma: float) -> bool:
-    """Direct threshold-ordering predicate for the three-candidate centre."""
-    model = ElectionModel(positions, priors, horizon, sigma)
-    w01 = crossing_threshold(model, 0, 1).value
-    w20 = crossing_threshold(model, 2, 0).value
-    w12 = crossing_threshold(model, 1, 2).value
-    return w01 > w20 > w12
-
-
-def _closed_form_bound(positions, priors, horizon) -> Optional[float]:
-    """Rate bound from the threshold-order inequalities solved for sigma^2.
-
-    Each of the two inequalities in the lockout condition is linear in
-    sigma^2, giving sigma^2 < 2*min(A, B) / (T * w01 * w02 * w12) with the
-    gap-weighted log-odds terms below; no rate creates a dead zone when the
-    min is nonpositive.
-    """
-    x0, x1, x2 = positions
-    p0, p1, p2 = priors
-    w01, w02, w12 = x1 - x0, x2 - x0, x2 - x1
-    a = w02 * math.log(p0 / p1) - w01 * math.log(p0 / p2)
-    b = w12 * math.log(p0 / p2) - w02 * math.log(p1 / p2)
-    m = min(a, b)
-    if m <= 0.0:
-        return None
-    return math.sqrt(2.0 * m / (horizon * w01 * w02 * w12))
-
-
 def dead_zone_sigma_bound(
     positions: Sequence[float],
     priors: Sequence[float],
     horizon: float,
-    sigma_max: float = 1e3,
 ) -> Optional[float]:
     """Largest constant rate at which the centre candidate is locked out.
 
     The centre candidate of a three-candidate race has identically zero win
-    probability exactly when the rate is below this bound; None when the
-    lockout holds for no positive rate. The value is refined by bisection on
-    the direct threshold-ordering predicate (authoritative); the closed-form
-    solution of the same inequalities is computed alongside and any
-    discrepancy beyond the bisection tolerance is logged.
+    probability exactly when its lead interval is empty: the (0, 1) crossing
+    lies at or above the (1, 2) crossing. With gaps g01, g12, g02 between
+    the positions, the crossings are log(p0/p1)/g01 + (x0 + x1) V / 2 and
+    log(p1/p2)/g12 + (x1 + x2) V / 2 with V = sigma^2 T, so the lockout
+    condition is linear in sigma^2:
+
+        sigma^2 <= 2 * m / (T * g01 * g02 * g12),
+        m = g12 * log(p0/p1) - g01 * log(p1/p2).
+
+    Returns the square root of the right-hand side, or None when m <= 0 (no
+    positive rate creates a dead zone). Inputs are validated as for
+    ``ElectionModel``; all three priors must be positive.
     """
     if len(positions) != 3 or len(priors) != 3:
         raise RequiresThreeCandidates(
             f"bound is defined for 3 candidates, got {len(positions)}"
         )
-    if any(p <= 0.0 for p in priors):
+    model = ElectionModel(positions, priors, horizon, 1.0)
+    if any(p <= 0.0 for p in model.priors):
         raise ZeroPrior(f"all priors must be > 0, got {tuple(priors)}")
-
-    closed = _closed_form_bound(positions, priors, horizon)
-
-    def dead(sigma: float) -> bool:
-        return _centre_dead_at(positions, priors, horizon, sigma)
-
-    lo = hi = None
-    if closed is not None and closed > 0.0:
-        lo_guess, hi_guess = 0.5 * closed, 2.0 * closed
-        if dead(lo_guess) and not dead(hi_guess):
-            lo, hi = lo_guess, hi_guess
-    if lo is None:
-        # scan a geometric grid for the transition
-        grid = np.geomspace(1e-6, sigma_max, 200)
-        flags = [dead(s) for s in grid]
-        if not any(flags):
-            return None
-        last_true = max(i for i, f in enumerate(flags) if f)
-        if last_true == len(grid) - 1:
-            return float(grid[-1])  # dead over the whole scan range
-        lo, hi = float(grid[last_true]), float(grid[last_true + 1])
-
-    for _ in range(200):
-        if hi - lo <= BOUND_BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if dead(mid):
-            lo = mid
-        else:
-            hi = mid
-    bound = 0.5 * (lo + hi)
-    if closed is not None and abs(bound - closed) > 1e-6 * max(1.0, closed):
-        logger.warning(
-            "dead-zone bound mismatch: bisection %.12g vs closed form %.12g", bound, closed
-        )
-    return bound
+    x0, x1, x2 = model.positions
+    p0, p1, p2 = model.priors
+    g01, g02, g12 = x1 - x0, x2 - x0, x2 - x1
+    m = g12 * math.log(p0 / p1) - g01 * math.log(p1 / p2)
+    if m <= 0.0:
+        return None
+    return math.sqrt(2.0 * m / (model.horizon * g01 * g02 * g12))
 
 
 def max_support_point(model: ElectionModel, k: int) -> MaxSupportReport:

@@ -62,6 +62,17 @@ class TestPollSeries:
                 positions=np.array([0.0, 1.0]),
             )
 
+    @pytest.mark.parametrize("field", ["times", "supports"])
+    def test_non_finite_entries_rejected(self, field):
+        data = {
+            "times": np.array([0.0, 0.5, 1.0]),
+            "supports": np.full((3, 2), 0.5),
+            "positions": np.array([0.0, 1.0]),
+        }
+        data[field][-1] = np.nan
+        with pytest.raises(ValidationError):
+            PollSeries(**data)
+
     def test_row_sum_tolerance_allows_rounded_polls(self):
         supports = np.array([[0.5, 0.4999996], [0.6, 0.4000004], [0.5, 0.5]])
         series = PollSeries(

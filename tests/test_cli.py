@@ -107,14 +107,22 @@ class TestForecast:
     def test_prints_ordering_sum_check_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path, POLARISED_CONFIG)
         main(["forecast", "--config", cfg])
-        assert "ordering probabilities sum to 1" in capsys.readouterr().out
+        assert "ordering probabilities sum to 1" in capsys.readouterr().err
+
+    def test_out_path_notice_goes_to_stderr(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, POLARISED_CONFIG)
+        out = tmp_path / "report.json"
+        main(["forecast", "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"wrote {out}" in captured.err
 
     def test_dead_zone_flag_in_output(self, tmp_path, capsys):
         payload = dict(POLARISED_CONFIG)
         payload["sigma"] = 0.25
         cfg = write_config(tmp_path, payload)
         main(["forecast", "--config", cfg])
-        report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        report = json.loads(capsys.readouterr().out)
         assert report["dead_zones"]["centre"] is True
         assert report["win_probabilities"]["centre"] == 0.0
 
@@ -129,7 +137,7 @@ class TestForecast:
         }
         cfg = write_config(tmp_path, payload)
         main(["forecast", "--config", cfg])
-        report = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        report = json.loads(capsys.readouterr().out)
         assert report["win_probabilities"]["incumbent"] == pytest.approx(0.8868, abs=5e-4)
 
     def test_byte_identical_across_runs(self, tmp_path, capsys):
@@ -321,6 +329,16 @@ class TestCalibrate:
         path.write_text("t,left,centre,right\n0.0,0.38,0.26,0.36\n0.1,oops,0.3,0.3\n", encoding="utf-8")
         assert main(["calibrate", "--config", cfg, "--data", str(path)]) == 3
         assert "row 3" in capsys.readouterr().err
+
+    def test_non_finite_cell_reports_row_number(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, POLARISED_CONFIG)
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "t,left,centre,right\n0.0,0.38,0.26,0.36\n0.1,0.4,0.3,0.3\n0.2,nan,0.3,0.3\n",
+            encoding="utf-8",
+        )
+        assert main(["calibrate", "--config", cfg, "--data", str(path)]) == 3
+        assert "row 4" in capsys.readouterr().err
 
     def test_wrong_columns_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, POLARISED_CONFIG)

@@ -162,6 +162,16 @@ class TestOrderingPartition:
         )
         assert total == pytest.approx(1.0, abs=1e-10)
 
+    def test_trailing_candidates_ranked_where_their_supports_underflow(self):
+        # past the (2, 3) crossing candidates 0 and 1 both have supports that
+        # underflow to 0 at the probe point; (1, 0) is still the true order
+        model = ElectionModel(
+            (0.1414, 1.9087, 3.492, 3.4968), (0.2536, 0.1382, 0.6015, 0.0067), 1.635, 1.0767
+        )
+        probs = win_probabilities(model).ordering_probs
+        assert (2, 3, 0, 1) not in probs
+        assert probs[(2, 3, 1, 0)] == pytest.approx(0.2339, abs=1e-4)
+
     def test_zero_prior_candidate_ranks_last(self):
         model = ElectionModel((0.0, 1.0, 2.0), (0.6, 0.0, 0.4), 1.0, 1.0)
         part = ordering_partition(model)

@@ -12,6 +12,7 @@ from voteflow import (
     is_dead_zone,
     max_support_curve,
     max_support_point,
+    ordering_partition,
     posterior_support,
     sweep_positions,
     sweep_priors,
@@ -22,7 +23,9 @@ from voteflow import (
 from voteflow.errors import (
     NoBracket,
     NonIncreasingPositions,
+    NonPositiveHorizon,
     NotInteriorCandidate,
+    PriorsNotNormalized,
     RequiresThreeCandidates,
     ValidationError,
     ZeroPrior,
@@ -46,9 +49,7 @@ def centre_dead_by_thresholds(model):
 
 class TestDeadZone:
     def test_polarised_low_info_centre_is_dead(self, polarised_low_info):
-        report = is_dead_zone(polarised_low_info, 1)
-        assert report.is_dead
-        assert report.method == "direct-threshold"
+        assert is_dead_zone(polarised_low_info, 1).is_dead
 
     def test_polarised_high_info_centre_is_alive(self, polarised_model):
         assert not is_dead_zone(polarised_model, 1).is_dead
@@ -61,6 +62,31 @@ class TestDeadZone:
             if model.priors[n - 1] == 0.0:
                 continue
             assert not is_dead_zone(model, n - 1).is_dead
+
+    def test_lead_interval_matches_partition_leader_scan(self):
+        # every candidate of random N = 2..6 races, some priors zeroed and
+        # some schedules piecewise: dead exactly when no partition cell
+        # ranks the candidate first
+        rng = np.random.default_rng(11)
+        dead_seen = alive_seen = 0
+        for _ in range(400):
+            base = random_model(
+                rng, n=int(rng.integers(2, 7)), piecewise=bool(rng.random() < 0.5)
+            )
+            priors = np.array(base.priors)
+            priors[rng.random(base.n_candidates) < 0.2] = 0.0
+            if priors.sum() == 0.0:
+                continue
+            model = ElectionModel(
+                base.positions, tuple(priors / priors.sum()), base.horizon, base.schedule
+            )
+            cells = ordering_partition(model).cells
+            for k in range(model.n_candidates):
+                expected = all(c.ordering[0] != k for c in cells)
+                assert is_dead_zone(model, k).is_dead == expected, (model, k)
+                dead_seen += expected
+                alive_seen += not expected
+        assert dead_seen > 100 and alive_seen > 100
 
     def test_partition_check_equals_direct_threshold_check(self):
         # 1,000 random three-candidate races: the constructive partition
@@ -126,6 +152,18 @@ class TestDeadZoneSigmaBound:
     def test_zero_prior_rejected(self):
         with pytest.raises(ZeroPrior):
             dead_zone_sigma_bound((0.0, 1.0, 2.0), (0.5, 0.0, 0.5), 1.0)
+
+    @pytest.mark.parametrize(
+        "positions, priors, horizon, error",
+        [
+            ((0.0, 2.0, 1.0), (0.4, 0.2, 0.4), 1.0, NonIncreasingPositions),
+            ((0.0, 1.0, 2.0), (0.5, 0.3, 0.3), 1.0, PriorsNotNormalized),
+            ((0.0, 1.0, 2.0), (0.4, 0.2, 0.4), 0.0, NonPositiveHorizon),
+        ],
+    )
+    def test_invalid_inputs_rejected(self, positions, priors, horizon, error):
+        with pytest.raises(error):
+            dead_zone_sigma_bound(positions, priors, horizon)
 
     def test_report_carries_the_bound(self, polarised_low_info):
         report = is_dead_zone(polarised_low_info, 1)
