@@ -5,6 +5,9 @@ outputs are deterministic byte-for-byte given the same inputs and seeds.
 CSV files carry '#'-prefixed metadata lines, a header row, 17-significant-
 digit floats, and LF line endings. Exit codes: 0 success, 2 config or
 validation error, 3 I/O or input-data error, 4 numerical failure.
+
+Each subcommand returns one ``Report``; ``main`` hands it to ``_emit``,
+which writes it in the chosen format, and maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -28,14 +32,13 @@ from .errors import (
     ValidationError,
 )
 from .model import ElectionModel, InfoSchedule
-from .outcomes import ordering_partition, win_probabilities
+from .outcomes import win_probabilities
 from .simulation import simulate_paths, winprob_paths
 from .strategy import (
-    default_sigma_grid,
+    SweepTable,
     is_dead_zone,
     max_support_curve,
     max_support_point,
-    simplex_grid,
     sweep_positions,
     sweep_priors,
     sweep_sigma,
@@ -50,6 +53,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
+
+#: Largest n_paths * (n_steps + 1) a simulation block may ask for: each path
+#: point becomes a report row and several floats per candidate in memory.
+MAX_PATH_POINTS = 10**6
 
 
 # --------------------------------------------------------------------------
@@ -70,7 +77,6 @@ class ScenarioConfig:
     simulation: Optional[dict] = None
     sources: Optional[dict] = None
     target: Optional[dict] = None
-    raw: dict = field(default_factory=dict, repr=False)
 
     def model(self) -> ElectionModel:
         try:
@@ -79,29 +85,53 @@ class ScenarioConfig:
             raise ConfigError(f"invalid model parameters: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number (not a bool) that is finite
+    as a float. NaN and Infinity tokens are parsed as strings, and 1e400 as
+    inf, so all three fail here."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _require(mapping: dict, key: str, kind, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required field '{key}'")
     value = mapping[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{context}.{key}: expected a number, got {value!r}")
+        if not _is_number(value):
+            raise ConfigError(f"{context}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if not isinstance(value, kind):
         raise ConfigError(f"{context}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
+def _integer(mapping: dict, key: str, context: str, minimum: int) -> int:
+    value = _require(mapping, key, float, context)
+    if not (value.is_integer() and value >= minimum):
+        raise ConfigError(
+            f"{context}.{key}: expected an integer >= {minimum}, got {mapping[key]!r}"
+        )
+    return int(mapping[key])
+
+
 def _float_list(value, context: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"{context}: expected a list of numbers")
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        raise ConfigError(f"{context}: expected a list of finite numbers")
     return tuple(float(v) for v in value)
 
 
+def _vectors(value, context: str) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}: expected a list of vectors")
+    return tuple(_float_list(v, f"{context}[{i}]") for i, v in enumerate(value))
+
+
 def _parse_schedule(value, context: str) -> InfoSchedule:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         if value <= 0:
             raise ConfigError(f"{context}: sigma must be > 0, got {value}")
         return InfoSchedule.constant(float(value))
@@ -119,7 +149,7 @@ def load_config(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=str)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -156,23 +186,15 @@ def load_config(path: str) -> ScenarioConfig:
             if any(s <= 0 for s in sigma_grid):
                 raise ConfigError(f"{path}.sweep.sigma_grid: entries must be > 0")
         if "prior_grid" in sweep:
-            pg = sweep["prior_grid"]
-            if not isinstance(pg, list):
-                raise ConfigError(f"{path}.sweep.prior_grid: expected a list of prior vectors")
-            prior_grid = tuple(
-                _float_list(pt, f"{path}.sweep.prior_grid[{i}]") for i, pt in enumerate(pg)
-            )
+            prior_grid = _vectors(sweep["prior_grid"], f"{path}.sweep.prior_grid")
         if "prior_grid_step" in sweep:
             step = sweep["prior_grid_step"]
-            if not isinstance(step, (int, float)) or isinstance(step, bool) or not (0 < step <= 1):
+            if not _is_number(step) or not (0 < step <= 1):
                 raise ConfigError(f"{path}.sweep.prior_grid_step: expected a number in (0, 1]")
             prior_grid_step = float(step)
         if "position_variants" in sweep:
-            pv = sweep["position_variants"]
-            if not isinstance(pv, list):
-                raise ConfigError(f"{path}.sweep.position_variants: expected a list of vectors")
-            position_variants = tuple(
-                _float_list(v, f"{path}.sweep.position_variants[{i}]") for i, v in enumerate(pv)
+            position_variants = _vectors(
+                sweep["position_variants"], f"{path}.sweep.position_variants"
             )
 
     simulation = raw.get("simulation")
@@ -181,12 +203,15 @@ def load_config(path: str) -> ScenarioConfig:
         if not isinstance(simulation, dict):
             raise ConfigError(f"{ctx}: expected an object")
         simulation = {
-            "n_paths": int(_require(simulation, "n_paths", float, ctx)),
-            "n_steps": int(_require(simulation, "n_steps", float, ctx)),
-            "seed": int(_require(simulation, "seed", float, ctx)),
+            "n_paths": _integer(simulation, "n_paths", ctx, 1),
+            "n_steps": _integer(simulation, "n_steps", ctx, 1),
+            "seed": _integer(simulation, "seed", ctx, 0),
         }
-        if simulation["n_paths"] < 1 or simulation["n_steps"] < 1:
-            raise ConfigError(f"{ctx}: n_paths and n_steps must be >= 1")
+        points = simulation["n_paths"] * (simulation["n_steps"] + 1)
+        if points > MAX_PATH_POINTS:
+            raise ConfigError(
+                f"{ctx}: n_paths * (n_steps + 1) = {points} exceeds {MAX_PATH_POINTS}"
+            )
 
     sources = raw.get("sources")
     if sources is not None:
@@ -194,10 +219,7 @@ def load_config(path: str) -> ScenarioConfig:
         if not isinstance(sources, dict):
             raise ConfigError(f"{ctx}: expected an object")
         rates = _float_list(_require(sources, "rates", list, ctx), f"{ctx}.rates")
-        corr = _require(sources, "correlation", list, ctx)
-        if not isinstance(corr, list):
-            raise ConfigError(f"{ctx}.correlation: expected a matrix")
-        matrix = tuple(_float_list(row, f"{ctx}.correlation[{i}]") for i, row in enumerate(corr))
+        matrix = _vectors(_require(sources, "correlation", list, ctx), f"{ctx}.correlation")
         sources = {"rates": rates, "correlation": matrix}
 
     target = raw.get("target")
@@ -226,13 +248,25 @@ def load_config(path: str) -> ScenarioConfig:
         simulation=simulation,
         sources=sources,
         target=target,
-        raw=raw,
     )
 
 
 # --------------------------------------------------------------------------
-# output helpers
+# reports
 # --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Report:
+    """One subcommand's output: ``json`` builds the JSON object; ``meta``,
+    ``header`` and ``rows`` are the CSV form. ``_emit`` calls ``json`` only
+    for JSON output and iterates ``rows`` (lazy where it is large) only for
+    CSV output."""
+
+    json: Callable[[], object]
+    meta: dict
+    header: Sequence[str]
+    rows: Iterable[tuple]
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -242,25 +276,36 @@ def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
 
 
-def _write_text(out_path: Optional[str], text: str, stdout: TextIO) -> None:
-    if out_path is None:
+def _emit(report: Report, args, stdout: TextIO) -> None:
+    """Write the report in ``args.format`` to ``args.out``, or to stdout."""
+    if args.format == "csv":
+        lines = [f"# {key}={value}" for key, value in report.meta.items()]
+        lines.append(",".join(report.header))
+        for row in report.rows:
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps(report.json(), indent=2, allow_nan=False) + "\n"
+    if args.out is None:
         stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        print(f"wrote {out_path}", file=sys.stderr)
+        print(f"wrote {args.out}", file=sys.stderr)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+def _named(columns: Sequence[str], names: Sequence[str]) -> list[str]:
+    """A table's column labels with each candidate index replaced by that
+    candidate's name. The index is the first '_<digits>' part of a label,
+    as in p_win_0 or delta_0_v1."""
+    return [re.sub(r"(?<=_)\d+", lambda m: names[int(m.group())], c, count=1) for c in columns]
 
 
-def _csv_text(metadata: dict, header: Sequence[str], rows) -> str:
-    lines = [f"# {key}={value}" for key, value in metadata.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _table_rows(table: SweepTable):
+    """One row of floats per axis point: the point (a prior vector spreads
+    over several cells), then the table's values."""
+    for point, values in zip(table.axis_values, table.values):
+        yield (*map(float, point if isinstance(point, tuple) else (point,)), *map(float, values))
 
 
 def _schedule_json(schedule: InfoSchedule):
@@ -285,172 +330,133 @@ def _ordering_label(ordering: Sequence[int], names: Sequence[str]) -> str:
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_forecast(args, stdout: TextIO) -> int:
-    cfg = load_config(args.config)
+def cmd_forecast(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
     outcome = win_probabilities(model)
-    partition = ordering_partition(model)
-    ordering_sum = math.fsum(outcome.ordering_probs.values())
-    constant = model.schedule.is_constant
-    rate = model.schedule.rates[0] if constant else None
-
-    cells = []
-    for cell in partition.cells:
-        entry = {
-            "lower_y": _finite_or_none(cell.lower),
-            "upper_y": _finite_or_none(cell.upper),
-            "ordering": _ordering_label(cell.ordering, cfg.names),
-        }
-        if constant:
-            entry["lower_xi"] = _finite_or_none(cell.lower / rate)
-            entry["upper_xi"] = _finite_or_none(cell.upper / rate)
-        cells.append(entry)
-
-    report = {
-        "spectrum_convention": SPECTRUM_NOTE,
-        "candidates": [
-            {"name": n, "position": x, "prior": p}
-            for n, x, p in zip(cfg.names, model.positions, model.priors)
-        ],
-        "horizon_years": model.horizon,
-        "sigma": _schedule_json(model.schedule),
-        "win_probabilities": {
-            name: float(outcome.win_probs[i]) for i, name in enumerate(cfg.names)
-        },
-        "ordering_probabilities": {
-            _ordering_label(cell.ordering, cfg.names): outcome.ordering_probs[cell.ordering]
-            for cell in partition.cells
-        },
-        "ordering_probability_sum": ordering_sum,
-        "partition": {
-            "boundaries_y": list(partition.boundaries),
-            **({"boundaries_xi": [b / rate for b in partition.boundaries]} if constant else {}),
-            "cells": cells,
-        },
-        "dead_zones": {
-            name: is_dead_zone(model, i).is_dead for i, name in enumerate(cfg.names)
-        },
+    partition = outcome.partition
+    ordering_probs = {
+        _ordering_label(cell.ordering, cfg.names): outcome.ordering_probs[cell.ordering]
+        for cell in partition.cells
     }
-
+    ordering_sum = math.fsum(outcome.ordering_probs.values())
+    dead_zones = {name: is_dead_zone(model, i).is_dead for i, name in enumerate(cfg.names)}
     print(f"ordering probabilities sum to {_fmt(ordering_sum)}", file=sys.stderr)
-    if args.format == "csv":
-        rows = [
-            (name, float(x), float(p), float(outcome.win_probs[i]),
-             int(report["dead_zones"][name]))
-            for i, (name, x, p) in enumerate(zip(cfg.names, model.positions, model.priors))
-        ]
-        metadata = {
+
+    def json_report():
+        constant = model.schedule.is_constant
+        rate = model.schedule.rates[0] if constant else None
+        cells = []
+        for cell in partition.cells:
+            entry = {
+                "lower_y": _finite_or_none(cell.lower),
+                "upper_y": _finite_or_none(cell.upper),
+                "ordering": _ordering_label(cell.ordering, cfg.names),
+            }
+            if constant:
+                entry["lower_xi"] = _finite_or_none(cell.lower / rate)
+                entry["upper_xi"] = _finite_or_none(cell.upper / rate)
+            cells.append(entry)
+        return {
+            "spectrum_convention": SPECTRUM_NOTE,
+            "candidates": [
+                {"name": n, "position": x, "prior": p}
+                for n, x, p in zip(cfg.names, model.positions, model.priors)
+            ],
+            "horizon_years": model.horizon,
+            "sigma": _schedule_json(model.schedule),
+            "win_probabilities": {
+                name: float(outcome.win_probs[i]) for i, name in enumerate(cfg.names)
+            },
+            "ordering_probabilities": ordering_probs,
+            "ordering_probability_sum": ordering_sum,
+            "partition": {
+                "boundaries_y": list(partition.boundaries),
+                **({"boundaries_xi": [b / rate for b in partition.boundaries]} if constant else {}),
+                "cells": cells,
+            },
+            "dead_zones": dead_zones,
+        }
+
+    return Report(
+        json=json_report,
+        meta={
             "horizon_years": _fmt(model.horizon),
             "sigma": _schedule_meta(model.schedule),
             "ordering_probability_sum": _fmt(ordering_sum),
-        }
-        for cell in partition.cells:
-            label = _ordering_label(cell.ordering, cfg.names)
-            metadata[f"ordering {label}"] = _fmt(outcome.ordering_probs[cell.ordering])
-        text = _csv_text(metadata, ["candidate", "position", "prior", "p_win", "dead_zone"], rows)
-    else:
-        text = _json_text(report)
-    _write_text(args.out, text, stdout)
-    return EXIT_OK
+            **{f"ordering {label}": _fmt(p) for label, p in ordering_probs.items()},
+        },
+        header=["candidate", "position", "prior", "p_win", "dead_zone"],
+        rows=[
+            (name, float(x), float(p), float(outcome.win_probs[i]), int(dead_zones[name]))
+            for i, (name, x, p) in enumerate(zip(cfg.names, model.positions, model.priors))
+        ],
+    )
 
 
-def _sweep_table(args, cfg: ScenarioConfig):
+def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
-    names = cfg.names
+    meta = {"axis": args.axis}
     if args.axis == "sigma":
         table = sweep_sigma(model, cfg.sigma_grid)
-        header = ["sigma"] + [f"p_win_{n}" for n in names]
-        rows = [
-            (float(s), *map(float, row)) for s, row in zip(table.axis_values, table.values)
-        ]
-        meta = {"axis": "sigma"}
+        axis_columns = ["sigma"]
     elif args.axis == "priors":
-        if cfg.prior_grid is not None:
-            points = cfg.prior_grid
-        else:
-            step = cfg.prior_grid_step if cfg.prior_grid_step is not None else 0.01
-            try:
-                points = simplex_grid(len(names), step)
-            except ValidationError as exc:
-                raise MissingSweepBlock(
-                    f"prior sweep for {len(names)} candidates needs an explicit "
-                    f"sweep.prior_grid ({exc})"
-                ) from exc
-        table = sweep_priors(cfg.positions, cfg.schedule, cfg.horizon_years, points)
-        header = [f"p{i + 1}" for i in range(len(names))] + [f"p_win_{n}" for n in names]
-        rows = [
-            (*map(float, pt), *map(float, row))
-            for pt, row in zip(table.axis_values, table.values)
-        ]
-        meta = {"axis": "priors"}
+        try:
+            table = sweep_priors(
+                cfg.positions, cfg.schedule, cfg.horizon_years, cfg.prior_grid, cfg.prior_grid_step
+            )
+        except ValidationError as exc:
+            if cfg.prior_grid is not None:
+                raise
+            raise MissingSweepBlock(
+                f"prior sweep for {len(cfg.names)} candidates needs an explicit "
+                f"sweep.prior_grid ({exc})"
+            ) from exc
+        axis_columns = [f"p{i + 1}" for i in range(len(cfg.names))]
     else:  # positions
         if not cfg.position_variants:
             raise MissingSweepBlock("position sweep needs sweep.position_variants in the config")
         table = sweep_positions(model, cfg.position_variants, cfg.sigma_grid)
-        n_var = len(cfg.position_variants)
-        if n_var == 1:
-            delta_cols = [f"delta_{n}" for n in names]
-        else:
-            delta_cols = [
-                f"delta_{n}_v{vi + 1}" for vi in range(n_var) for n in names
-            ]
-        header = ["sigma"] + delta_cols
-        rows = [
-            (float(s), *map(float, row)) for s, row in zip(table.axis_values, table.values)
-        ]
-        meta = {"axis": "positions"}
+        axis_columns = ["sigma"]
         for vi, variant in enumerate(cfg.position_variants):
             meta[f"variant_{vi + 1}"] = ";".join(_fmt(x) for x in variant)
     meta["horizon_years"] = _fmt(cfg.horizon_years)
     meta["sigma"] = _schedule_meta(cfg.schedule)
-    return table, header, rows, meta
-
-
-def cmd_sweep(args, stdout: TextIO) -> int:
-    cfg = load_config(args.config)
-    table, header, rows, meta = _sweep_table(args, cfg)
-    if args.format == "json":
-        obj = {
+    header = axis_columns + _named(table.columns, cfg.names)
+    return Report(
+        json=lambda: {
             "axis": table.axis_name,
             "columns": header,
-            "rows": [list(r) for r in rows],
-            "metadata": {k: v for k, v in meta.items()},
-        }
-        text = _json_text(obj)
-    else:
-        text = _csv_text(meta, header, rows)
-    _write_text(args.out, text, stdout)
-    return EXIT_OK
+            "rows": [list(row) for row in _table_rows(table)],
+            "metadata": meta,
+        },
+        meta=meta,
+        header=header,
+        rows=_table_rows(table),
+    )
 
 
-def cmd_simulate(args, stdout: TextIO) -> int:
-    cfg = load_config(args.config)
+def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
     if cfg.simulation is None:
         raise ConfigError(f"{args.config}: simulate needs a simulation block")
     model = cfg.model()
     seed = args.seed if args.seed is not None else cfg.simulation["seed"]
+    if seed < 0:
+        raise ConfigError(f"--seed: expected an integer >= 0, got {seed}")
     n_paths = cfg.simulation["n_paths"]
     n_steps = cfg.simulation["n_steps"]
     ensemble = simulate_paths(model, n_paths, n_steps, seed)
     bundle = winprob_paths(ensemble, model)
 
-    names = cfg.names
-    header = (
-        ["path", "t"]
-        + [f"pi_{n}" for n in names]
-        + [f"win_{n}" for n in names]
-    )
-    rows = []
-    for i in range(n_paths):
-        for m, t in enumerate(bundle.times):
-            rows.append(
-                (
+    def rows():
+        for i in range(n_paths):
+            for m, t in enumerate(bundle.times):
+                yield (
                     i,
                     float(t),
                     *map(float, bundle.support[i, m]),
                     *map(float, bundle.win_probs[i, m]),
                 )
-            )
+
     meta = {
         "seed": seed,
         "n_paths": n_paths,
@@ -458,59 +464,45 @@ def cmd_simulate(args, stdout: TextIO) -> int:
         "horizon_years": _fmt(model.horizon),
         "sigma": _schedule_meta(model.schedule),
     }
-    if args.format == "json":
-        obj = {
+    return Report(
+        json=lambda: {
             "metadata": meta,
             "times": [float(t) for t in bundle.times],
             "latent": [int(v) for v in ensemble.latent],
             "support": bundle.support.tolist(),
             "win_probs": bundle.win_probs.tolist(),
-        }
-        text = _json_text(obj)
-    else:
-        text = _csv_text(meta, header, rows)
-    _write_text(args.out, text, stdout)
-    return EXIT_OK
+        },
+        meta=meta,
+        header=["path", "t", *(f"pi_{n}" for n in cfg.names), *(f"win_{n}" for n in cfg.names)],
+        rows=rows(),
+    )
 
 
-def cmd_deadzone(args, stdout: TextIO) -> int:
-    cfg = load_config(args.config)
+def cmd_deadzone(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
-    reports = {}
-    for i, name in enumerate(cfg.names):
-        rep = is_dead_zone(model, i)
-        reports[name] = {"is_dead": rep.is_dead, "sigma_bound": rep.sigma_bound}
-    obj = {
-        "spectrum_convention": SPECTRUM_NOTE,
-        "sigma": _schedule_json(model.schedule),
-        "horizon_years": model.horizon,
-        "dead_zones": reports,
-    }
-    if args.format == "csv":
-        rows = [
-            (
-                name,
-                int(rep["is_dead"]),
-                "" if rep["sigma_bound"] is None else _fmt(rep["sigma_bound"]),
-            )
+    reports = {name: is_dead_zone(model, i) for i, name in enumerate(cfg.names)}
+    return Report(
+        json=lambda: {
+            "spectrum_convention": SPECTRUM_NOTE,
+            "sigma": _schedule_json(model.schedule),
+            "horizon_years": model.horizon,
+            "dead_zones": {
+                name: {"is_dead": rep.is_dead, "sigma_bound": rep.sigma_bound}
+                for name, rep in reports.items()
+            },
+        },
+        meta={"sigma": _schedule_meta(model.schedule)},
+        header=["candidate", "is_dead", "sigma_bound"],
+        rows=[
+            (name, int(rep.is_dead), "" if rep.sigma_bound is None else _fmt(rep.sigma_bound))
             for name, rep in reports.items()
-        ]
-        text = _csv_text(
-            {"sigma": _schedule_meta(model.schedule)},
-            ["candidate", "is_dead", "sigma_bound"],
-            rows,
-        )
-    else:
-        text = _json_text(obj)
-    _write_text(args.out, text, stdout)
-    return EXIT_OK
+        ],
+    )
 
 
-def cmd_maxsupport(args, stdout: TextIO) -> int:
-    cfg = load_config(args.config)
+def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
-    grid = cfg.sigma_grid if cfg.sigma_grid is not None else default_sigma_grid()
-    table = max_support_curve(cfg.positions, cfg.priors, cfg.horizon_years, grid)
+    table = max_support_curve(cfg.positions, cfg.priors, cfg.horizon_years, cfg.sigma_grid)
 
     points = {}
     for k in range(1, len(cfg.names) - 1):
@@ -520,18 +512,8 @@ def cmd_maxsupport(args, stdout: TextIO) -> int:
             "pi_max": rep.pi_max,
             "residual": rep.residual,
         }
-    if args.format == "csv":
-        header = ["sigma"] + [f"max_support_{n}" for n in cfg.names]
-        rows = [
-            (float(s), *map(float, row)) for s, row in zip(table.axis_values, table.values)
-        ]
-        text = _csv_text(
-            {"horizon_years": _fmt(cfg.horizon_years)},
-            header,
-            rows,
-        )
-    else:
-        obj = {
+    return Report(
+        json=lambda: {
             "sigma_grid": [float(s) for s in table.axis_values],
             "max_support": {
                 name: [float(v) for v in table.values[:, i]]
@@ -539,14 +521,14 @@ def cmd_maxsupport(args, stdout: TextIO) -> int:
             },
             "at_config_sigma": points,
             "horizon_years": cfg.horizon_years,
-        }
-        text = _json_text(obj)
-    _write_text(args.out, text, stdout)
-    return EXIT_OK
+        },
+        meta={"horizon_years": _fmt(cfg.horizon_years)},
+        header=["sigma", *_named(table.columns, cfg.names)],
+        rows=_table_rows(table),
+    )
 
 
-def cmd_aggregate(args, stdout: TextIO) -> int:
-    cfg = load_config(args.config)
+def cmd_aggregate(args, cfg: ScenarioConfig) -> Report:
     if cfg.sources is None:
         raise ConfigError(f"{args.config}: aggregate needs a sources block")
     sources = SourceSet(
@@ -555,26 +537,17 @@ def cmd_aggregate(args, stdout: TextIO) -> int:
     )
     channel = aggregate_n(sources)
     w = channel.noise_weights
-    obj = {
-        "effective_sigma": channel.sigma,
-        "noise_weights": [float(v) for v in w],
-        "noise_variance_check": float(w @ sources.correlation @ w),
-        "rate_gradient": [float(v) for v in channel.rate_gradient],
-    }
-    if args.format == "csv":
-        rows = [
-            (i, float(r), float(wi))
-            for i, (r, wi) in enumerate(zip(sources.rates, w))
-        ]
-        text = _csv_text(
-            {"effective_sigma": _fmt(channel.sigma)},
-            ["source", "rate", "noise_weight"],
-            rows,
-        )
-    else:
-        text = _json_text(obj)
-    _write_text(args.out, text, stdout)
-    return EXIT_OK
+    return Report(
+        json=lambda: {
+            "effective_sigma": channel.sigma,
+            "noise_weights": [float(v) for v in w],
+            "noise_variance_check": float(w @ sources.correlation @ w),
+            "rate_gradient": [float(v) for v in channel.rate_gradient],
+        },
+        meta={"effective_sigma": _fmt(channel.sigma)},
+        header=["source", "rate", "noise_weight"],
+        rows=[(i, float(r), float(wi)) for i, (r, wi) in enumerate(zip(sources.rates, w))],
+    )
 
 
 def read_poll_csv(path: str, names: Sequence[str], positions: Sequence[float]) -> PollSeries:
@@ -613,13 +586,13 @@ def read_poll_csv(path: str, names: Sequence[str], positions: Sequence[float]) -
     )
 
 
-def cmd_calibrate(args, stdout: TextIO) -> int:
-    cfg = load_config(args.config)
+def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
     if args.data is None and cfg.target is None:
         raise ConfigError(
             f"{args.config}: calibrate needs --data (historic) and/or a target block (implied)"
         )
     obj: dict = {}
+    rows = []
     if args.data is not None:
         series = read_poll_csv(args.data, cfg.names, cfg.positions)
         est = estimate_sigma_historic(series)
@@ -629,6 +602,7 @@ def cmd_calibrate(args, stdout: TextIO) -> int:
             "effective_increments": est.effective_increments,
             "n_observations": series.n_observations,
         }
+        rows.append(("historic", float(est.sigma)))
     if cfg.target is not None:
         k = cfg.names.index(cfg.target["candidate"])
         solutions = implied_sigma(
@@ -643,22 +617,22 @@ def cmd_calibrate(args, stdout: TextIO) -> int:
             "win_probability": cfg.target["win_probability"],
             "solutions": [float(s) for s in solutions],
         }
-    if args.format == "csv":
-        rows = []
-        if "historic" in obj:
-            rows.append(("historic", float(obj["historic"]["sigma"])))
-        for s in obj.get("implied", {}).get("solutions", []):
-            rows.append(("implied", float(s)))
-        text = _csv_text({}, ["method", "sigma"], rows)
-    else:
-        text = _json_text(obj)
-    _write_text(args.out, text, stdout)
-    return EXIT_OK
+        rows += [("implied", float(s)) for s in solutions]
+    return Report(json=lambda: obj, meta={}, header=["method", "sigma"], rows=rows)
 
 
 # --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
+
+#: Exit code per exception class; the first class that matches wins.
+EXIT_CODES = {
+    ValidationError: EXIT_CONFIG,  # ConfigError included
+    CsvDataError: EXIT_IO,
+    OSError: EXIT_IO,
+    NumericalError: EXIT_NUMERICAL,
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -666,42 +640,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Election outcome probabilities under a noisy-information model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, default_format="json"):
+    # name, handler, default format, help, extra arguments. Built per call, so
+    # each handler is whatever the module's cmd_* name holds at that time.
+    commands = (
+        ("forecast", cmd_forecast, "json", "ordering and win probabilities", {}),
+        ("sweep", cmd_sweep, "csv", "win probabilities over a parameter grid",
+         {"--axis": {"choices": ("sigma", "priors", "positions"), "required": True}}),
+        ("simulate", cmd_simulate, "csv", "seeded sample paths of supports and win probabilities",
+         {"--seed": {"type": int, "default": None, "help": "override the config seed"}}),
+        ("deadzone", cmd_deadzone, "json", "dead-zone flags and the centre-candidate rate bound", {}),
+        ("maxsupport", cmd_maxsupport, "json", "peak attainable support over a rate grid", {}),
+        ("aggregate", cmd_aggregate, "json",
+         "effective rate and noise weights of correlated sources", {}),
+        ("calibrate", cmd_calibrate, "json", "historic and implied information flow rate",
+         {"--data": {"default": None, "help": "poll CSV (t,<name1>,...,<nameN>)"}}),
+    )
+    for name, handler, default_format, help_text, extra in commands:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
-
-    p = sub.add_parser("forecast", help="ordering and win probabilities")
-    add_common(p)
-    p.set_defaults(func=cmd_forecast)
-
-    p = sub.add_parser("sweep", help="win probabilities over a parameter grid")
-    add_common(p, default_format="csv")
-    p.add_argument("--axis", choices=("sigma", "priors", "positions"), required=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="seeded sample paths of supports and win probabilities")
-    add_common(p, default_format="csv")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("deadzone", help="dead-zone flags and the centre-candidate rate bound")
-    add_common(p)
-    p.set_defaults(func=cmd_deadzone)
-
-    p = sub.add_parser("maxsupport", help="peak attainable support over a rate grid")
-    add_common(p)
-    p.set_defaults(func=cmd_maxsupport)
-
-    p = sub.add_parser("aggregate", help="effective rate and noise weights of correlated sources")
-    add_common(p)
-    p.set_defaults(func=cmd_aggregate)
-
-    p = sub.add_parser("calibrate", help="historic and implied information flow rate")
-    add_common(p)
-    p.add_argument("--data", default=None, help="poll CSV (t,<name1>,...,<nameN>)")
-    p.set_defaults(func=cmd_calibrate)
+        for flag, options in extra.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -709,22 +670,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
-    except ConfigError as exc:
+        _emit(args.func(args, load_config(args.config)), args, sys.stdout)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CsvDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

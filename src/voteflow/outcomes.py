@@ -89,11 +89,13 @@ class OrderingPartition:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeProbabilities:
-    """Ordering probabilities (only realized orderings appear as keys) and
-    per-candidate probabilities of ranking first."""
+    """Ordering probabilities (only realized orderings appear as keys),
+    per-candidate probabilities of ranking first, and the partition they
+    were summed over."""
 
     ordering_probs: dict[tuple[int, ...], float]
     win_probs: np.ndarray
+    partition: OrderingPartition
 
     def __post_init__(self):
         arr = np.asarray(self.win_probs, dtype=np.float64)
@@ -247,7 +249,7 @@ def win_probabilities(model: ElectionModel) -> OutcomeProbabilities:
         p = interval_probability(model, cell.lower, cell.upper)
         ordering_probs[cell.ordering] = ordering_probs.get(cell.ordering, 0.0) + p
         win[cell.ordering[0]] += p
-    return OutcomeProbabilities(ordering_probs=ordering_probs, win_probs=win)
+    return OutcomeProbabilities(ordering_probs=ordering_probs, win_probs=win, partition=partition)
 
 
 def two_candidate_win_probability(p: float, sigma: float, horizon: float) -> float:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelMismatch, ValidationError
-from .model import ElectionModel, condition_on_history, posterior_support
+from .model import ElectionModel, condition_on_history
 from .outcomes import win_probabilities
 
 __all__ = [
@@ -80,8 +80,11 @@ class MonteCarloOutcome:
 
     ``ordering_counts`` partition the paths (integer counts sum to
     n_paths exactly); frequencies and binomial standard errors are derived
-    from them. ``tie_count`` records paths whose terminal support vector
-    carried an exact floating-point tie, resolved toward the lower index.
+    from them. Each path is ranked by the candidates' log posterior weights,
+    which do not underflow, so trailing candidates are ranked too.
+    ``tie_count`` records paths on which two finite weights were exactly
+    equal (resolved toward the lower index); zero-prior candidates, all at
+    -inf, are ranked last by index and never count as a tie.
     """
 
     n_paths: int
@@ -224,12 +227,14 @@ def monte_carlo_win_probabilities(
     cum_priors = np.cumsum(model.priors_arr)
     latent = _draw_latent(rng, cum_priors, n_paths)
     v = model.terminal_variance
-    y = model.positions_arr[latent] * v + math.sqrt(v) * rng.standard_normal(n_paths)
-    support = posterior_support(model, y, model.horizon)
+    x = model.positions_arr
+    y = x[latent] * v + math.sqrt(v) * rng.standard_normal(n_paths)
+    log_weight = model.log_priors_arr + y[:, None] * x - 0.5 * x * x * v
 
-    order = np.argsort(-support, axis=1, kind="stable")
-    sorted_support = np.take_along_axis(support, order, axis=1)
-    tie_count = int(np.sum(np.any(np.diff(sorted_support, axis=1) == 0.0, axis=1)))
+    order = np.argsort(-log_weight, axis=1, kind="stable")
+    sorted_weight = np.take_along_axis(log_weight, order, axis=1)
+    # -inf - -inf is NaN, so zero-prior candidates never compare equal here
+    tie_count = int(np.sum(np.any(np.diff(sorted_weight, axis=1) == 0.0, axis=1)))
 
     counts: dict[tuple[int, ...], int] = {}
     rows, row_counts = np.unique(order, axis=0, return_counts=True)

@@ -347,12 +347,17 @@ def sweep_positions(
     )
 
 
-def simplex_grid(n_candidates: int, step: float = 0.01) -> tuple[tuple[float, ...], ...]:
+def simplex_grid(
+    n_candidates: int, step: Optional[float] = None
+) -> tuple[tuple[float, ...], ...]:
     """Prior vectors on a regular simplex grid (exact corners included).
 
     Two candidates: p0 runs over {0, step, ..., 1}. Three candidates: all
-    (p0, p1) with p0 + p1 <= 1 on the step lattice, p2 the remainder.
+    (p0, p1) with p0 + p1 <= 1 on the step lattice, p2 the remainder. The
+    step defaults to 0.01.
     """
+    if step is None:
+        step = 0.01
     cells = round(1.0 / step)
     if abs(cells * step - 1.0) > 1e-9 or cells < 1:
         raise ValidationError(f"step {step} must divide 1")
@@ -374,13 +379,14 @@ def sweep_priors(
     sigma,
     horizon: float,
     prior_points: Optional[Sequence[Sequence[float]]] = None,
-    step: float = 0.01,
+    step: Optional[float] = None,
 ) -> SweepTable:
     """Win probabilities per candidate over a grid of current support rates.
 
     ``prior_points`` are full prior vectors; by default a regular simplex
-    grid of the given step (two or three candidates). ``zero_mask`` marks
-    entries that are exactly zero, the lockout region.
+    grid of the given step (two or three candidates; ``simplex_grid``'s
+    default step when None). ``zero_mask`` marks entries that are exactly
+    zero, the lockout region.
     """
     n = len(positions)
     if prior_points is None:

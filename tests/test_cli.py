@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voteflow
 from voteflow import (
     ElectionModel,
     ordering_partition,
@@ -16,6 +21,8 @@ from voteflow import (
 from voteflow.cli import main
 
 from conftest import POLARISED_P, POLARISED_X
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 POLARISED_CONFIG = {
     "candidates": [
@@ -32,6 +39,17 @@ def write_config(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def write_config_with_token(tmp_path, payload, token):
+    """Write payload with the string "@" replaced by a raw JSON token."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload).replace('"@"', token), encoding="utf-8")
+    return str(path)
+
+
+def polarised_payload():
+    return json.loads(json.dumps(POLARISED_CONFIG))
 
 
 def run(tmp_path, *argv):
@@ -345,3 +363,203 @@ class TestCalibrate:
         path = tmp_path / "bad.csv"
         path.write_text("t,a,b,c\n0.0,0.38,0.26,0.36\n", encoding="utf-8")
         assert main(["calibrate", "--config", cfg, "--data", str(path)]) == 3
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize(
+        "key, token, argv, field",
+        [
+            pytest.param(key, token, [], field, id=f"{key}={token}")
+            for key, token, field in [
+                ("n_paths", "2.7", "simulation.n_paths"),
+                ("n_paths", "1e300", "simulation: n_paths * (n_steps + 1)"),
+                ("n_paths", "1e400", "simulation.n_paths"),
+                ("n_paths", "1000", "simulation: n_paths * (n_steps + 1)"),
+                ("n_steps", "0", "simulation.n_steps"),
+                ("n_steps", "1.5", "simulation.n_steps"),
+                ("seed", "-1", "simulation.seed"),
+                ("seed", "0.5", "simulation.seed"),
+                ("seed", "NaN", "simulation.seed"),
+            ]
+        ]
+        + [pytest.param(None, None, ["--seed", "-5"], "--seed", id="--seed=-5")],
+    )
+    def test_simulation_fields_are_integral_bounded_and_named(
+        self, tmp_path, capsys, key, token, argv, field
+    ):
+        payload = polarised_payload()
+        payload["simulation"] = {"n_paths": 3, "n_steps": 1000, "seed": 77}
+        if key is not None:
+            payload["simulation"][key] = "@"
+        cfg = write_config_with_token(tmp_path, payload, token or "null")
+        assert main(["simulate", "--config", cfg, *argv]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize(
+        "field, place",
+        [
+            pytest.param(field, place, id=field)
+            for field, place in [
+                ("sweep.sigma_grid", lambda p: p.update(sweep={"sigma_grid": [0.5, "@"]})),
+                ("candidates[1].position", lambda p: p["candidates"][1].update(position="@")),
+                ("horizon_years", lambda p: p.update(horizon_years="@")),
+                (
+                    "target.win_probability",
+                    lambda p: p.update(target={"candidate": "left", "win_probability": "@"}),
+                ),
+            ]
+        ],
+    )
+    def test_non_finite_number_is_rejected_at_its_field(
+        self, tmp_path, capsys, token, field, place
+    ):
+        payload = polarised_payload()
+        place(payload)
+        cfg = write_config_with_token(tmp_path, payload, token)
+        assert main(["forecast", "--config", cfg]) == 2
+        assert f".{field}: expected" in capsys.readouterr().err
+
+
+def test_coincident_thresholds_warn_once():
+    # the warning is printed once per emitting line, so count stderr lines
+    env = dict(os.environ, PYTHONPATH=str(Path(voteflow.__file__).resolve().parents[1]))
+    config = CONFIG_DIR / "five_candidate_peak_support.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "voteflow.cli", "forecast", "--config", str(config)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0
+    warned = [line for line in proc.stderr.splitlines() if "DegenerateTieWarning" in line]
+    assert len(warned) == 1, proc.stderr
+
+
+# --------------------------------------------------------------------------
+# contract over the bundled configs: strict output, and one report in two formats
+# --------------------------------------------------------------------------
+
+def contract_cases():
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        sweep = cfg.get("sweep", {})
+        argvs = [["forecast"], ["deadzone"], ["maxsupport"], ["sweep", "--axis", "sigma"],
+                 ["calibrate", "--data"]]
+        if len(cfg["candidates"]) <= 3 or "prior_grid" in sweep:
+            argvs.append(["sweep", "--axis", "priors"])
+        if "position_variants" in sweep:
+            argvs.append(["sweep", "--axis", "positions"])
+        if "simulation" in cfg:
+            argvs.append(["simulate"])
+        if "sources" in cfg:
+            argvs.append(["aggregate"])
+        if "target" in cfg:
+            argvs.append(["calibrate"])
+        for argv in argvs:
+            yield pytest.param(path, argv, id=f"{path.stem}-{'-'.join(a.strip('-') for a in argv)}")
+
+
+def reject_constant(token):
+    raise AssertionError(f"non-standard JSON token {token}")
+
+
+def parse_csv(text):
+    assert text.endswith("\n") and "\r" not in text
+    lines = text[:-1].split("\n")
+    meta = {}
+    while lines and lines[0].startswith("#"):
+        key, sep, value = lines.pop(0)[2:].partition("=")
+        assert sep, "metadata line without '='"
+        meta[key] = value
+    header, *rows = (line.split(",") for line in lines)
+    assert all(len(row) == len(header) for row in rows), "ragged CSV rows"
+    return meta, header, rows
+
+
+def csv_view(command, doc, cfg):
+    """The CSV metadata, header and rows that a JSON report implies."""
+    names = [c["name"] for c in cfg["candidates"]]
+    if command == "sweep":
+        return doc["metadata"], doc["columns"], doc["rows"]
+    if command == "simulate":
+        header = ["path", "t", *(f"pi_{n}" for n in names), *(f"win_{n}" for n in names)]
+        rows = [
+            [i, t, *s, *w]
+            for i, (support, win) in enumerate(zip(doc["support"], doc["win_probs"]))
+            for t, s, w in zip(doc["times"], support, win)
+        ]
+        return doc["metadata"], header, rows
+    if command == "forecast":
+        meta = {
+            "horizon_years": doc["horizon_years"],
+            "sigma": doc["sigma"],
+            "ordering_probability_sum": doc["ordering_probability_sum"],
+            **{f"ordering {k}": v for k, v in doc["ordering_probabilities"].items()},
+        }
+        rows = [
+            [c["name"], c["position"], c["prior"], doc["win_probabilities"][c["name"]],
+             doc["dead_zones"][c["name"]]]
+            for c in doc["candidates"]
+        ]
+        return meta, ["candidate", "position", "prior", "p_win", "dead_zone"], rows
+    if command == "deadzone":
+        rows = [
+            [n, r["is_dead"], "" if r["sigma_bound"] is None else r["sigma_bound"]]
+            for n, r in doc["dead_zones"].items()
+        ]
+        return {"sigma": doc["sigma"]}, ["candidate", "is_dead", "sigma_bound"], rows
+    if command == "maxsupport":
+        header = ["sigma", *(f"max_support_{n}" for n in doc["max_support"])]
+        rows = [[s, *col] for s, *col in zip(doc["sigma_grid"], *doc["max_support"].values())]
+        return {"horizon_years": doc["horizon_years"]}, header, rows
+    if command == "aggregate":
+        rates = cfg["sources"]["rates"]
+        rows = [[i, r, w] for i, (r, w) in enumerate(zip(rates, doc["noise_weights"]))]
+        return {"effective_sigma": doc["effective_sigma"]}, ["source", "rate", "noise_weight"], rows
+    assert command == "calibrate"
+    rows = [["historic", doc["historic"]["sigma"]]] if "historic" in doc else []
+    rows += [["implied", s] for s in doc.get("implied", {}).get("solutions", [])]
+    return {}, ["method", "sigma"], rows
+
+
+def same_cell(cell, value):
+    if isinstance(value, str):
+        return cell == value
+    return float(cell) == float(value)  # bools read as 0/1
+
+
+def write_polls(tmp_path, cfg):
+    model = ElectionModel(
+        [c["position"] for c in cfg["candidates"]],
+        [c["prior"] for c in cfg["candidates"]],
+        cfg["horizon_years"],
+        cfg["sigma"],
+    )
+    bundle = posterior_paths(simulate_paths(model, 1, 200, seed=88), model)
+    lines = [",".join(["t", *(c["name"] for c in cfg["candidates"])])]
+    lines += [",".join(f"{v:.17g}" for v in (t, *row)) for t, row in zip(bundle.times, bundle.support[0])]
+    path = tmp_path / "polls.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("config, argv", contract_cases())
+def test_bundled_config_reports_agree_across_formats(tmp_path, capsys, config, argv):
+    cfg = json.loads(config.read_text(encoding="utf-8"))
+    if argv[-1] == "--data":
+        argv = [*argv, write_polls(tmp_path, cfg)]
+    outputs = {}
+    for fmt in ("json", "csv"):
+        assert main([*argv, "--config", str(config), "--format", fmt]) == 0
+        outputs[fmt] = capsys.readouterr().out
+    doc = json.loads(outputs["json"], parse_constant=reject_constant)
+    meta, header, rows = parse_csv(outputs["csv"])
+    want_meta, want_header, want_rows = csv_view(argv[0], doc, cfg)
+    assert header == want_header
+    assert meta.keys() == want_meta.keys()
+    assert all(same_cell(meta[k], v) for k, v in want_meta.items()), meta
+    assert len(rows) == len(want_rows)
+    for row, want in zip(rows, want_rows):
+        assert len(row) == len(want) and all(map(same_cell, row, want)), (row, want)

@@ -16,7 +16,7 @@ from voteflow import (
     win_probabilities,
     winprob_paths,
 )
-from voteflow.errors import ModelMismatch, ValidationError
+from voteflow.errors import DegenerateTieWarning, ModelMismatch, ValidationError
 
 from conftest import POLARISED_P, POLARISED_X, random_model
 
@@ -214,3 +214,17 @@ class TestMonteCarloTally:
             assert mc.win_std_errors[k] == pytest.approx(
                 math.sqrt(f * (1.0 - f) / n), abs=1e-15
             )
+
+    def test_underflowed_supports_are_ranked_by_log_weight(self):
+        # supports of all but the leader underflow to 0 on nearly every draw;
+        # ranking them by index put (3,0,1,2) where the closed form has 0
+        model = ElectionModel((0.0, 10.0, 20.0, 30.0), (0.25,) * 4, 1.0, 10.0)
+        n = 100_000
+        mc = monte_carlo_win_probabilities(model, n, seed=7)
+        with pytest.warns(DegenerateTieWarning):
+            exact = win_probabilities(model).ordering_probs
+        assert mc.tie_count == 0
+        for ordering in set(exact) | set(mc.ordering_counts):
+            p = exact.get(ordering, 0.0)
+            freq = mc.ordering_counts.get(ordering, 0) / n
+            assert abs(freq - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n), ordering
