@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .model import ElectionModel
-from .outcomes import win_probabilities
+from .outcomes import _wins_of, win_probabilities
 
 __all__ = [
     "PollSeries",
@@ -170,7 +170,8 @@ def implied_sigma(
         return float(win_probabilities(model).win_probs[candidate])
 
     grid = np.geomspace(sigma_min, sigma_max, scan_points)
-    gap = np.array([win(s) - target for s in grid])
+    scan = [ElectionModel(positions, priors, horizon, float(s)) for s in grid]
+    gap = _wins_of(scan, n)[:, candidate] - target
     zero = gap == 0.0
 
     solutions: list[float] = []

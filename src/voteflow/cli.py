@@ -36,6 +36,7 @@ from .outcomes import win_probabilities
 from .simulation import simulate_paths, winprob_paths
 from .strategy import (
     SweepTable,
+    _simplex_cells,
     is_dead_zone,
     max_support_curve,
     max_support_point,
@@ -57,6 +58,10 @@ EXIT_NUMERICAL = 4
 #: Largest n_paths * (n_steps + 1) a simulation block may ask for: each path
 #: point becomes a report row and several floats per candidate in memory.
 MAX_PATH_POINTS = 10**6
+
+#: Largest prior simplex a sweep.prior_grid_step may ask for: each grid point
+#: becomes a validated model and a report row.
+MAX_PRIOR_GRID_POINTS = 10**5
 
 
 # --------------------------------------------------------------------------
@@ -188,9 +193,16 @@ def load_config(path: str) -> ScenarioConfig:
         if "prior_grid" in sweep:
             prior_grid = _vectors(sweep["prior_grid"], f"{path}.sweep.prior_grid")
         if "prior_grid_step" in sweep:
+            ctx = f"{path}.sweep.prior_grid_step"
             step = sweep["prior_grid_step"]
             if not _is_number(step) or not (0 < step <= 1):
-                raise ConfigError(f"{path}.sweep.prior_grid_step: expected a number in (0, 1]")
+                raise ConfigError(f"{ctx}: expected a number in (0, 1]")
+            try:
+                points = math.comb(_simplex_cells(step) + len(names) - 1, len(names) - 1)
+            except ValidationError as exc:
+                raise ConfigError(f"{ctx}: {exc}") from exc
+            if points > MAX_PRIOR_GRID_POINTS:
+                raise ConfigError(f"{ctx}: {points} grid points exceed {MAX_PRIOR_GRID_POINTS}")
             prior_grid_step = float(step)
         if "position_variants" in sweep:
             position_variants = _vectors(

@@ -116,9 +116,5 @@ class CsvDataError(VoteflowError):
 
 # --- warnings ---------------------------------------------------------------
 
-class DegenerateTieWarning(UserWarning):
-    """Two crossing thresholds coincide exactly; the zero-width cell was merged."""
-
-
 class DegenerateSeriesWarning(UserWarning):
     """Poll series carries no movement (or a degenerate posterior); estimate is 0."""

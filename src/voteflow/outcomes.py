@@ -16,15 +16,15 @@ rate, dividing a threshold by the rate recovers the raw-process value.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     DegeneratePrior,
-    DegenerateTieWarning,
     InvalidInterval,
     InvalidPermutation,
     NonPositiveHorizon,
@@ -45,6 +45,8 @@ __all__ = [
     "win_probabilities",
     "two_candidate_win_probability",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -83,24 +85,34 @@ class OrderingPartition:
     cells: tuple[PartitionCell, ...]
     tie_count: int = 0
 
-    def cell_for(self, ordering: tuple[int, ...]) -> tuple[PartitionCell, ...]:
-        return tuple(c for c in self.cells if c.ordering == ordering)
-
 
 @dataclass(frozen=True, eq=False)
 class OutcomeProbabilities:
-    """Ordering probabilities (only realized orderings appear as keys),
-    per-candidate probabilities of ranking first, and the partition they
-    were summed over."""
+    """Per-candidate probabilities of ranking first for ``model``.
 
-    ordering_probs: dict[tuple[int, ...], float]
+    ``partition`` and ``ordering_probs`` (only realized orderings appear as
+    keys) are built on first read; the win probabilities need neither.
+    """
+
+    model: ElectionModel
     win_probs: np.ndarray
-    partition: OrderingPartition
 
     def __post_init__(self):
         arr = np.asarray(self.win_probs, dtype=np.float64)
         arr.flags.writeable = False
         object.__setattr__(self, "win_probs", arr)
+
+    @cached_property
+    def partition(self) -> OrderingPartition:
+        return ordering_partition(self.model)
+
+    @cached_property
+    def ordering_probs(self) -> dict[tuple[int, ...], float]:
+        probs: dict[tuple[int, ...], float] = {}
+        for cell in self.partition.cells:
+            p = interval_probability(self.model, cell.lower, cell.upper)
+            probs[cell.ordering] = probs.get(cell.ordering, 0.0) + p
+        return probs
 
 
 def crossing_threshold(model: ElectionModel, k: int, j: int) -> CrossingThreshold:
@@ -147,7 +159,7 @@ def ordering_partition(model: ElectionModel) -> OrderingPartition:
     underflow, so trailing candidates are ranked too; only zero-prior
     candidates tie, at -inf. This works for any number of candidates.
     Adjacent cells with identical rankings are merged; exactly coincident
-    thresholds trigger a DegenerateTieWarning and count into ``tie_count``.
+    thresholds count into ``tie_count`` and are logged at DEBUG level.
     """
     n = model.n_candidates
     priors = model.priors
@@ -167,11 +179,7 @@ def ordering_partition(model: ElectionModel) -> OrderingPartition:
         else:
             boundaries.append(v)
     if tie_count:
-        warnings.warn(
-            f"{tie_count} coincident crossing threshold(s); zero-width cells merged",
-            DegenerateTieWarning,
-            stacklevel=2,
-        )
+        _log.debug("%d coincident crossing threshold(s); zero-width cells merged", tie_count)
 
     x = model.positions_arr
     log_weight = model.log_priors_arr - 0.5 * x * x * model.terminal_variance
@@ -233,23 +241,65 @@ def ordering_probability(model: ElectionModel, permutation) -> float:
         raise InvalidPermutation(
             f"{permutation!r} is not a strict ordering of all {model.n_candidates} candidates"
         )
-    partition = ordering_partition(model)
-    return math.fsum(
-        interval_probability(model, c.lower, c.upper) for c in partition.cell_for(perm)
-    )
+    return win_probabilities(model).ordering_probs.get(perm, 0.0)
 
 
 def win_probabilities(model: ElectionModel) -> OutcomeProbabilities:
-    """All ordering probabilities and the per-candidate probabilities of
-    ranking first on election day (first-past-the-post)."""
-    partition = ordering_partition(model)
-    ordering_probs: dict[tuple[int, ...], float] = {}
-    win = np.zeros(model.n_candidates)
-    for cell in partition.cells:
-        p = interval_probability(model, cell.lower, cell.upper)
-        ordering_probs[cell.ordering] = ordering_probs.get(cell.ordering, 0.0) + p
-        win[cell.ordering[0]] += p
-    return OutcomeProbabilities(ordering_probs=ordering_probs, win_probs=win, partition=partition)
+    """Per-candidate probabilities of ranking first on election day
+    (first-past-the-post), with all ordering probabilities on demand."""
+    win = _win_kernel(model.positions_arr, model.priors_arr, model.terminal_variance)
+    return OutcomeProbabilities(model=model, win_probs=win)
+
+
+# crossing_threshold's log-odds term and interval_probability's CDF difference,
+# lifted elementwise: numpy's log can differ from math.log in the last bit, and
+# the kernel's lockout must agree exactly with is_dead_zone's
+_log_ratios = np.frompyfunc(_log_ratio, 2, 1)
+_cdf_diffs = np.frompyfunc(normal_cdf_diff, 2, 1)
+
+
+def _win_kernel(positions, priors, variance) -> np.ndarray:
+    """Win probabilities of a batch of races: positions and priors [..., N]
+    and terminal accumulated variances [...] broadcast to a result [..., N].
+
+    Candidate k leads exactly on (L_k, U_k), between its largest crossing
+    threshold with a rival to its left and its smallest with one to its
+    right, and wins with that interval's mass,
+    sum_j p_j [Phi((U_k - x_j V)/sqrt V) - Phi((L_k - x_j V)/sqrt V)];
+    exactly 0 when p_k = 0 or L_k >= U_k, as in ``is_dead_zone``.
+    """
+    x = np.asarray(positions, dtype=np.float64)
+    p = np.asarray(priors, dtype=np.float64)
+    v = np.asarray(variance, dtype=np.float64)[..., None]
+    n = x.shape[-1]
+    pair = np.arange(n)[:, None] < np.arange(n)
+    a, b = np.nonzero(pair)  # crossing_threshold(a, b) for each pair a < b
+    xa, xb = x[..., a], x[..., b]
+    log_ratio = _log_ratios(p[..., b], p[..., a]).astype(np.float64)
+    cross = (log_ratio + 0.5 * (xa * xa - xb * xb) * v) / (xa - xb)
+    table = np.full(cross.shape[:-1] + (n, n), np.nan)
+    table[..., a, b] = cross
+    lower = np.where(pair, table, -np.inf).max(axis=-2)  # column k: rivals left of k
+    upper = np.where(pair, table, np.inf).min(axis=-1)  # row k: rivals right of k
+
+    # [..., k, j]: mass of k's lead interval under candidate j's law, needed
+    # only where k can lead and p_j > 0
+    mean, sd = x[..., None, :] * v[..., None], np.sqrt(v)[..., None]
+    lo, hi = (lower[..., :, None] - mean) / sd, (upper[..., :, None] - mean) / sd
+    need = ((p > 0.0) & (lower < upper))[..., :, None] & (p > 0.0)[..., None, :]
+    mass = np.zeros(need.shape)
+    mass[need] = _cdf_diffs(lo[need], hi[need])
+    return (p[..., None, :] * mass).sum(axis=-1)
+
+
+def _wins_of(models, n: int) -> np.ndarray:
+    """``win_probabilities(m).win_probs`` of each model (all with n
+    candidates), one row per model, from one kernel call."""
+    return _win_kernel(
+        np.reshape([m.positions for m in models], (-1, n)),
+        np.reshape([m.priors for m in models], (-1, n)),
+        np.array([m.terminal_variance for m in models]),
+    )
 
 
 def two_candidate_win_probability(p: float, sigma: float, horizon: float) -> float:

@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelMismatch, ValidationError
-from .model import ElectionModel, condition_on_history
-from .outcomes import win_probabilities
+from .model import ElectionModel
+from .outcomes import _win_kernel
 
 __all__ = [
     "PathEnsemble",
@@ -111,6 +111,12 @@ class MonteCarloOutcome:
         return out
 
 
+#: Path-steps per win-kernel call in ``winprob_paths``. The kernel holds a
+#: few N x N arrays per path-step; a fixed block caps them (6 MB at N = 6)
+#: however long the paths, yet makes numpy's per-call overhead negligible.
+PATH_STEP_BLOCK = 2048
+
+
 def _path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
@@ -192,23 +198,27 @@ def posterior_paths(ensemble: PathEnsemble, model: ElectionModel) -> TrajectoryB
 def winprob_paths(ensemble: PathEnsemble, model: ElectionModel) -> TrajectoryBundle:
     """Support plus realized conditional win-probability trajectories.
 
-    At each interior time the path's history is folded into a conditional
-    model and the closed-form win probabilities are evaluated; at the final
-    time the win vector is the indicator of the leading candidate (ties to
-    the lower index).
+    Given the history up to an interior time t, the race is the same race
+    with the time-t supports as priors and V(t, T) as terminal variance, so
+    every path-step's closed-form win probabilities come from one batched
+    evaluation per block of path-steps; at the final time the win vector is
+    the indicator of the leading candidate (ties to the lower index).
     """
     _require_same_model(ensemble, model)
     bundle = posterior_paths(ensemble, model)
-    n_times = ensemble.n_steps + 1
+    n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
+    remaining = np.array(
+        [model.schedule.variance(float(t), model.horizon) for t in ensemble.times[:-1]]
+    )
     win = np.zeros_like(bundle.support)
-    for i in range(ensemble.n_paths):
-        for m in range(n_times - 1):
-            conditioned = condition_on_history(
-                model, float(ensemble.signal_paths[i, m]), float(ensemble.times[m])
-            )
-            win[i, m, :] = win_probabilities(conditioned).win_probs
-        winner = int(np.argmax(bundle.support[i, -1, :]))
-        win[i, -1, winner] = 1.0
+    total = n_paths * n_steps
+    for start in range(0, total, PATH_STEP_BLOCK):
+        path, step = np.divmod(np.arange(start, min(start + PATH_STEP_BLOCK, total)), n_steps)
+        win[path, step] = _win_kernel(
+            model.positions_arr, bundle.support[path, step], remaining[step]
+        )
+    winner = np.argmax(bundle.support[:, -1, :], axis=-1)
+    win[np.arange(n_paths), -1, winner] = 1.0
     return TrajectoryBundle(times=ensemble.times, support=bundle.support, win_probs=win)
 
 

@@ -9,8 +9,9 @@ solved for. Interior candidates also face a hard ceiling on their
 election-day support, the root of a one-dimensional first-order condition.
 
 Sweeps evaluate win probabilities over grids of the rate, the current
-support rates, and the spectrum positions; each grid point is an
-independent closed-form evaluation, assembled in deterministic grid order.
+support rates, and the spectrum positions: each grid point is validated as
+its own model, and the whole grid's lead-interval masses are evaluated in
+one batched closed-form call, in deterministic grid order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     ZeroPrior,
 )
 from .model import ElectionModel, posterior_support
-from .outcomes import crossing_threshold, win_probabilities
+from .outcomes import _wins_of, crossing_threshold
 
 __all__ = [
     "DeadZoneReport",
@@ -85,8 +86,7 @@ class SweepTable:
     """Win probabilities (or probability differences) over a parameter grid.
 
     Rows follow ``axis_values`` in order; ``kind`` is "probability" for
-    entries in [0, 1] or "difference" for entries in [-1, 1]. ``zero_mask``
-    (prior sweeps) marks entries that are exactly zero.
+    entries in [0, 1] or "difference" for entries in [-1, 1].
     """
 
     axis_name: str
@@ -94,7 +94,6 @@ class SweepTable:
     columns: tuple[str, ...]
     values: np.ndarray
     kind: str = "probability"
-    zero_mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -108,10 +107,6 @@ class SweepTable:
             raise ValidationError(f"{self.kind} entries outside [{lo}, 1]")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.zero_mask is not None:
-            mask = np.asarray(self.zero_mask, dtype=bool)
-            mask.flags.writeable = False
-            object.__setattr__(self, "zero_mask", mask)
 
 
 def default_sigma_grid() -> tuple[float, ...]:
@@ -291,14 +286,11 @@ def sweep_sigma(
     """Win probabilities per candidate over a grid of constant rates."""
     grid = tuple(sigma_grid) if sigma_grid is not None else default_sigma_grid()
     n = model.n_candidates
-    values = np.zeros((len(grid), n))
-    for row, sigma in enumerate(grid):
-        values[row] = win_probabilities(model.with_schedule(sigma)).win_probs
     return SweepTable(
         axis_name="sigma",
         axis_values=grid,
         columns=tuple(f"p_win_{k}" for k in range(n)),
-        values=values,
+        values=_wins_of([model.with_schedule(sigma) for sigma in grid], n),
     )
 
 
@@ -323,15 +315,19 @@ def sweep_positions(
         if any(a >= b for a, b in zip(v, v[1:])):
             raise NonIncreasingPositions(f"variant positions must be strictly increasing: {v}")
 
-    values = np.zeros((len(grid), len(variants) * n))
-    for row, sigma in enumerate(grid):
-        base = win_probabilities(base_model.with_schedule(sigma)).win_probs
-        for vi, positions in enumerate(variants):
-            variant_model = ElectionModel(
-                positions, base_model.priors, base_model.horizon, sigma
-            )
-            delta = win_probabilities(variant_model).win_probs - base
-            values[row, vi * n : (vi + 1) * n] = delta
+    base = _wins_of([base_model.with_schedule(sigma) for sigma in grid], n)
+    moved = _wins_of(
+        [
+            ElectionModel(positions, base_model.priors, base_model.horizon, sigma)
+            for sigma in grid
+            for positions in variants
+        ],
+        n,
+    )
+    # rows of moved run sigma-major, so each sigma's variants sit side by side
+    values = (moved.reshape(len(grid), len(variants), n) - base[:, None, :]).reshape(
+        len(grid), len(variants) * n
+    )
     if len(variants) == 1:
         columns = tuple(f"delta_{k}" for k in range(n))
     else:
@@ -356,11 +352,7 @@ def simplex_grid(
     (p0, p1) with p0 + p1 <= 1 on the step lattice, p2 the remainder. The
     step defaults to 0.01.
     """
-    if step is None:
-        step = 0.01
-    cells = round(1.0 / step)
-    if abs(cells * step - 1.0) > 1e-9 or cells < 1:
-        raise ValidationError(f"step {step} must divide 1")
+    cells = _simplex_cells(0.01 if step is None else step)
     if n_candidates == 2:
         return tuple((i / cells, (cells - i) / cells) for i in range(cells + 1))
     if n_candidates == 3:
@@ -374,6 +366,14 @@ def simplex_grid(
     )
 
 
+def _simplex_cells(step: float) -> int:
+    """Lattice cells per unit of a simplex grid step, which must divide 1."""
+    cells = 1.0 / step
+    if not (1.0 <= cells < math.inf) or abs(round(cells) * step - 1.0) > 1e-9:
+        raise ValidationError(f"step {step} must divide 1")
+    return round(cells)
+
+
 def sweep_priors(
     positions: Sequence[float],
     sigma,
@@ -385,21 +385,16 @@ def sweep_priors(
 
     ``prior_points`` are full prior vectors; by default a regular simplex
     grid of the given step (two or three candidates; ``simplex_grid``'s
-    default step when None). ``zero_mask`` marks entries that are exactly
-    zero, the lockout region.
+    default step when None). Entries are exactly zero where the candidate
+    is locked out.
     """
     n = len(positions)
     if prior_points is None:
         prior_points = simplex_grid(n, step)
     points = tuple(tuple(float(p) for p in pt) for pt in prior_points)
-    values = np.zeros((len(points), n))
-    for row, priors in enumerate(points):
-        model = ElectionModel(positions, priors, horizon, sigma)
-        values[row] = win_probabilities(model).win_probs
     return SweepTable(
         axis_name="priors",
         axis_values=points,
         columns=tuple(f"p_win_{k}" for k in range(n)),
-        values=values,
-        zero_mask=(values == 0.0),
+        values=_wins_of([ElectionModel(positions, p, horizon, sigma) for p in points], n),
     )

@@ -198,6 +198,21 @@ class TestSweep:
         assert lines[0] == "p1,p2,p3,p_win_left,p_win_centre,p_win_right"
         assert len(lines) == 1 + 15  # simplex with step 1/4 has C(6,2)=15 points
 
+    @pytest.mark.parametrize(
+        "sweep, axis, header",
+        [
+            ({"sigma_grid": []}, "sigma", "sigma,p_win_left,p_win_centre,p_win_right"),
+            ({"prior_grid": []}, "priors", "p1,p2,p3,p_win_left,p_win_centre,p_win_right"),
+        ],
+        ids=["sigma", "priors"],
+    )
+    def test_empty_grid_gives_header_only(self, tmp_path, capsys, sweep, axis, header):
+        payload = dict(POLARISED_CONFIG, sweep=sweep)
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--axis", axis]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        assert lines == [header]
+
     def test_positions_axis_single_variant_header(self, tmp_path, capsys):
         payload = dict(POLARISED_CONFIG)
         payload["sweep"] = {"sigma_grid": [0.5, 1.0], "position_variants": [[1.0, 2.0, 3.9]]}
@@ -395,6 +410,27 @@ class TestConfigRejections:
         assert main(["simulate", "--config", cfg, *argv]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            pytest.param(0.3, "0.3 must divide 1", id="not-a-divisor"),
+            pytest.param(0.0001, "50015001 grid points exceed", id="too-many-points"),
+        ],
+    )
+    def test_prior_grid_step_is_checked_at_its_field(
+        self, tmp_path, capsys, monkeypatch, step, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the prior grid was built")
+
+        monkeypatch.setattr(voteflow.strategy, "simplex_grid", refuse)
+        payload = polarised_payload()
+        payload["sweep"] = {"prior_grid_step": step}
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--axis", "priors"]) == 2
+        err = capsys.readouterr().err
+        assert ".sweep.prior_grid_step: " in err and message in err
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
     @pytest.mark.parametrize(
         "field, place",
@@ -421,20 +457,23 @@ class TestConfigRejections:
         assert f".{field}: expected" in capsys.readouterr().err
 
 
-def test_coincident_thresholds_warn_once():
-    # the warning is printed once per emitting line, so count stderr lines
+@pytest.mark.parametrize(
+    "argv", [["forecast"], ["sweep", "--axis", "sigma"]], ids=["forecast", "sweep-sigma"]
+)
+def test_coincident_thresholds_are_silent_by_default(argv):
+    # equal spacing and equal priors make crossings coincide exactly; the
+    # merge is logged at DEBUG level, which is silent unless configured
     env = dict(os.environ, PYTHONPATH=str(Path(voteflow.__file__).resolve().parents[1]))
     config = CONFIG_DIR / "five_candidate_peak_support.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "voteflow.cli", "forecast", "--config", str(config)],
+        [sys.executable, "-m", "voteflow.cli", argv[0], "--config", str(config), *argv[1:]],
         capture_output=True,
         text=True,
         env=env,
         check=False,
     )
     assert proc.returncode == 0
-    warned = [line for line in proc.stderr.splitlines() if "DegenerateTieWarning" in line]
-    assert len(warned) == 1, proc.stderr
+    assert "coincident" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
 
 
 # --------------------------------------------------------------------------

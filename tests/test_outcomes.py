@@ -1,11 +1,13 @@
 """Crossing thresholds, the ordering partition, and outcome probabilities."""
 
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import voteflow.outcomes
 from voteflow import (
     ElectionModel,
     crossing_threshold,
@@ -18,7 +20,6 @@ from voteflow import (
 )
 from voteflow.errors import (
     DegeneratePrior,
-    DegenerateTieWarning,
     InvalidInterval,
     InvalidPermutation,
 )
@@ -149,13 +150,14 @@ class TestOrderingPartition:
             for a, b in zip(part.cells, part.cells[1:]):
                 assert a.upper == b.lower
 
-    def test_exactly_coincident_thresholds_merge_with_warning(self):
+    def test_exactly_coincident_thresholds_merge_silently(self, caplog):
         # symmetric spectrum with equal priors: the (0,3) and (1,2) crossings
-        # both sit at exactly 0
+        # both sit at exactly 0; the merge is a DEBUG record, not a warning
         model = ElectionModel((-3.0, -1.0, 1.0, 3.0), (0.25, 0.25, 0.25, 0.25), 1.0, 1.0)
-        with pytest.warns(DegenerateTieWarning):
+        with caplog.at_level(logging.DEBUG, logger="voteflow.outcomes"):
             part = ordering_partition(model)
         assert part.tie_count == 1
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
         assert sum(1 for b in part.boundaries if b == 0.0) == 1
         total = math.fsum(
             interval_probability(model, c.lower, c.upper) for c in part.cells
@@ -299,6 +301,20 @@ class TestWinProbabilities:
                 )
                 assert out.win_probs[k] == pytest.approx(direct, abs=1e-12)
             assert math.fsum(out.win_probs) == pytest.approx(1.0, abs=1e-10)
+
+    def test_win_probabilities_build_no_partition(self, monkeypatch, polarised_model):
+        # the lead-interval kernel alone gives the win probabilities; the
+        # partition is built on first read of partition or ordering_probs
+        real = voteflow.outcomes.ordering_partition
+        built = []
+        monkeypatch.setattr(
+            voteflow.outcomes, "ordering_partition", lambda m: built.append(m) or real(m)
+        )
+        outcome = win_probabilities(polarised_model)
+        assert outcome.win_probs.shape == (3,) and built == []
+        assert outcome.partition is outcome.partition and len(built) == 1
+        assert math.fsum(outcome.ordering_probs.values()) == pytest.approx(1.0, abs=1e-12)
+        assert len(built) == 1
 
     def test_vanishing_rate_crowns_the_poll_leader(self):
         rng = np.random.default_rng(13)

@@ -274,6 +274,36 @@ class TestSweepSigma:
                 two_candidate_win_probability(0.55, sigma, 1.0 / 52.0), abs=1e-12
             )
 
+    def test_batched_rows_equal_single_model_evaluations(self):
+        # each sweep evaluates its whole grid in one batched call; every row
+        # must be exactly the one-model answer (implied_sigma compares its
+        # batched scan with one-model bisection steps for exact equality)
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            model = random_model(rng, n=int(rng.integers(2, 7)))
+            grid = tuple(rng.uniform(0.05, 3.0, size=5))
+            exact = [win_probabilities(model.with_schedule(s)).win_probs for s in grid]
+            np.testing.assert_array_equal(sweep_sigma(model, grid).values, exact)
+            variant = tuple(x + rng.uniform(0.0, 0.2) for x in model.positions)
+            moved = [
+                win_probabilities(ElectionModel(variant, model.priors, model.horizon, s)).win_probs
+                for s in grid
+            ]
+            np.testing.assert_array_equal(
+                sweep_positions(model, [variant], grid).values, np.subtract(moved, exact)
+            )
+            points = [tuple(rng.dirichlet(np.ones(model.n_candidates))) for _ in range(5)]
+            table = sweep_priors(model.positions, model.schedule, model.horizon, points)
+            np.testing.assert_array_equal(
+                table.values,
+                [
+                    win_probabilities(
+                        ElectionModel(model.positions, p, model.horizon, model.schedule)
+                    ).win_probs
+                    for p in points
+                ],
+            )
+
     def test_default_grid_resolution(self, polarised_model):
         table = sweep_sigma(polarised_model)
         assert table.axis_values[0] == pytest.approx(0.05)
@@ -329,10 +359,7 @@ class TestSweepPriors:
 
     def test_centre_zero_region_nonempty(self):
         table = sweep_priors(POLARISED_X, 1.0, 1.0, step=0.05)
-        assert table.zero_mask is not None
-        assert table.zero_mask[:, 1].any()
-        # the mask marks exactly the zero entries
-        np.testing.assert_array_equal(table.zero_mask, table.values == 0.0)
+        assert (table.values[:, 1] == 0.0).any()
 
     def test_two_candidate_grid(self):
         table = sweep_priors((0.0, 1.0), 1.2, 1.0 / 52.0, step=0.25)
