@@ -43,7 +43,10 @@ class SourceSet:
     def __post_init__(self):
         # copy, then freeze: callers keep ownership of what they passed in
         rates = np.atleast_1d(np.array(self.rates, dtype=np.float64))
-        corr = np.array(self.correlation, dtype=np.float64)
+        try:
+            corr = np.array(self.correlation, dtype=np.float64)
+        except ValueError as exc:  # ragged rows
+            raise ValidationError(f"correlation must be a matrix of numbers: {exc}") from exc
         n = rates.shape[0]
         if rates.ndim != 1 or n < 1:
             raise ValidationError("rates must be a nonempty vector")

@@ -17,6 +17,7 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
@@ -84,10 +85,18 @@ class ScenarioConfig:
     target: Optional[dict] = None
 
     def model(self) -> ElectionModel:
-        try:
+        with _field("invalid model parameters"):
             return ElectionModel(self.positions, self.priors, self.horizon_years, self.schedule)
-        except ValidationError as exc:
-            raise ConfigError(f"invalid model parameters: {exc}") from exc
+
+
+@contextmanager
+def _field(context: str):
+    """Re-raise a library rejection as a ConfigError led by ``context``,
+    usually the config field the rejected value came from."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def _is_number(value) -> bool:
@@ -143,10 +152,8 @@ def _parse_schedule(value, context: str) -> InfoSchedule:
     if isinstance(value, dict):
         breaks = _float_list(_require(value, "breakpoints", list, context), f"{context}.breakpoints")
         rates = _float_list(_require(value, "rates", list, context), f"{context}.rates")
-        try:
+        with _field(context):
             return InfoSchedule.piecewise(breaks, rates)
-        except ValidationError as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
     raise ConfigError(f"{context}: sigma must be a number or {{breakpoints, rates}}")
 
 
@@ -197,10 +204,8 @@ def load_config(path: str) -> ScenarioConfig:
             step = sweep["prior_grid_step"]
             if not _is_number(step) or not (0 < step <= 1):
                 raise ConfigError(f"{ctx}: expected a number in (0, 1]")
-            try:
+            with _field(ctx):
                 points = math.comb(_simplex_cells(step) + len(names) - 1, len(names) - 1)
-            except ValidationError as exc:
-                raise ConfigError(f"{ctx}: {exc}") from exc
             if points > MAX_PRIOR_GRID_POINTS:
                 raise ConfigError(f"{ctx}: {points} grid points exceed {MAX_PRIOR_GRID_POINTS}")
             prior_grid_step = float(step)
@@ -269,10 +274,10 @@ def load_config(path: str) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class Report:
-    """One subcommand's output: ``json`` builds the JSON object; ``meta``,
-    ``header`` and ``rows`` are the CSV form. ``_emit`` calls ``json`` only
-    for JSON output and iterates ``rows`` (lazy where it is large) only for
-    CSV output."""
+    """One subcommand's output: ``json`` builds the JSON object (numpy arrays
+    allowed); ``meta``, ``header`` and ``rows`` are the CSV form. ``_emit``
+    calls ``json`` only for JSON output and iterates ``rows`` (lazy where it
+    is large) only for CSV output."""
 
     json: Callable[[], object]
     meta: dict
@@ -289,20 +294,23 @@ def _finite_or_none(x: float):
 
 
 def _emit(report: Report, args, stdout: TextIO) -> None:
-    """Write the report in ``args.format`` to ``args.out``, or to stdout."""
-    if args.format == "csv":
-        lines = [f"# {key}={value}" for key, value in report.meta.items()]
-        lines.append(",".join(report.header))
-        for row in report.rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(report.json(), indent=2, allow_nan=False) + "\n"
-    if args.out is None:
-        stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    """Write the report in ``args.format`` to ``args.out``, or to stdout,
+    as it is generated: the whole text is never held in memory."""
+    to_file = args.out is not None
+    sink = open(args.out, "w", encoding="utf-8", newline="\n") if to_file else nullcontext(stdout)
+    with sink as fh:
+        if args.format == "csv":
+            fh.writelines(f"# {key}={value}\n" for key, value in report.meta.items())
+            fh.write(",".join(report.header) + "\n")
+            fh.writelines(
+                ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                for row in report.rows
+            )
+        else:
+            # arrays are listed one at a time, as the encoder reaches them
+            json.dump(report.json(), fh, indent=2, allow_nan=False, default=np.ndarray.tolist)
+            fh.write("\n")
+    if to_file:
         print(f"wrote {args.out}", file=sys.stderr)
 
 
@@ -376,9 +384,7 @@ def cmd_forecast(args, cfg: ScenarioConfig) -> Report:
             ],
             "horizon_years": model.horizon,
             "sigma": _schedule_json(model.schedule),
-            "win_probabilities": {
-                name: float(outcome.win_probs[i]) for i, name in enumerate(cfg.names)
-            },
+            "win_probabilities": dict(zip(cfg.names, outcome.win_probs)),
             "ordering_probabilities": ordering_probs,
             "ordering_probability_sum": ordering_sum,
             "partition": {
@@ -417,17 +423,19 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
                 cfg.positions, cfg.schedule, cfg.horizon_years, cfg.prior_grid, cfg.prior_grid_step
             )
         except ValidationError as exc:
-            if cfg.prior_grid is not None:
+            if cfg.prior_grid is None:
+                raise MissingSweepBlock(
+                    f"prior sweep for {len(cfg.names)} candidates needs an explicit "
+                    f"sweep.prior_grid ({exc})"
+                ) from exc
+            with _field(f"{args.config}.sweep.prior_grid"):
                 raise
-            raise MissingSweepBlock(
-                f"prior sweep for {len(cfg.names)} candidates needs an explicit "
-                f"sweep.prior_grid ({exc})"
-            ) from exc
         axis_columns = [f"p{i + 1}" for i in range(len(cfg.names))]
     else:  # positions
         if not cfg.position_variants:
             raise MissingSweepBlock("position sweep needs sweep.position_variants in the config")
-        table = sweep_positions(model, cfg.position_variants, cfg.sigma_grid)
+        with _field(f"{args.config}.sweep.position_variants"):
+            table = sweep_positions(model, cfg.position_variants, cfg.sigma_grid)
         axis_columns = ["sigma"]
         for vi, variant in enumerate(cfg.position_variants):
             meta[f"variant_{vi + 1}"] = ";".join(_fmt(x) for x in variant)
@@ -460,14 +468,9 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
     bundle = winprob_paths(ensemble, model)
 
     def rows():
-        for i in range(n_paths):
-            for m, t in enumerate(bundle.times):
-                yield (
-                    i,
-                    float(t),
-                    *map(float, bundle.support[i, m]),
-                    *map(float, bundle.win_probs[i, m]),
-                )
+        times = bundle.times.tolist()
+        for i, (support, win) in enumerate(zip(bundle.support, bundle.win_probs)):
+            yield from ((i, t, *s, *w) for t, s, w in zip(times, support.tolist(), win.tolist()))
 
     meta = {
         "seed": seed,
@@ -479,10 +482,10 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
     return Report(
         json=lambda: {
             "metadata": meta,
-            "times": [float(t) for t in bundle.times],
-            "latent": [int(v) for v in ensemble.latent],
-            "support": bundle.support.tolist(),
-            "win_probs": bundle.win_probs.tolist(),
+            "times": bundle.times,
+            "latent": ensemble.latent,
+            "support": list(bundle.support),
+            "win_probs": list(bundle.win_probs),
         },
         meta=meta,
         header=["path", "t", *(f"pi_{n}" for n in cfg.names), *(f"win_{n}" for n in cfg.names)],
@@ -516,21 +519,15 @@ def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
     table = max_support_curve(cfg.positions, cfg.priors, cfg.horizon_years, cfg.sigma_grid)
 
-    points = {}
-    for k in range(1, len(cfg.names) - 1):
-        rep = max_support_point(model, k)
-        points[cfg.names[k]] = {
-            "y_star": rep.y_star,
-            "pi_max": rep.pi_max,
-            "residual": rep.residual,
-        }
+    reports = [max_support_point(model, k) for k in range(1, len(cfg.names) - 1)]
+    points = {
+        cfg.names[r.candidate]: {"y_star": r.y_star, "pi_max": r.pi_max, "residual": r.residual}
+        for r in reports
+    }
     return Report(
         json=lambda: {
-            "sigma_grid": [float(s) for s in table.axis_values],
-            "max_support": {
-                name: [float(v) for v in table.values[:, i]]
-                for i, name in enumerate(cfg.names)
-            },
+            "sigma_grid": table.axis_values,
+            "max_support": dict(zip(cfg.names, table.values.T)),
             "at_config_sigma": points,
             "horizon_years": cfg.horizon_years,
         },
@@ -543,18 +540,16 @@ def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
 def cmd_aggregate(args, cfg: ScenarioConfig) -> Report:
     if cfg.sources is None:
         raise ConfigError(f"{args.config}: aggregate needs a sources block")
-    sources = SourceSet(
-        rates=np.asarray(cfg.sources["rates"]),
-        correlation=np.asarray(cfg.sources["correlation"]),
-    )
+    with _field(f"{args.config}.sources"):
+        sources = SourceSet(rates=cfg.sources["rates"], correlation=cfg.sources["correlation"])
     channel = aggregate_n(sources)
     w = channel.noise_weights
     return Report(
         json=lambda: {
             "effective_sigma": channel.sigma,
-            "noise_weights": [float(v) for v in w],
+            "noise_weights": w,
             "noise_variance_check": float(w @ sources.correlation @ w),
-            "rate_gradient": [float(v) for v in channel.rate_gradient],
+            "rate_gradient": channel.rate_gradient,
         },
         meta={"effective_sigma": _fmt(channel.sigma)},
         header=["source", "rate", "noise_weight"],
@@ -616,14 +611,12 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
         }
         rows.append(("historic", float(est.sigma)))
     if cfg.target is not None:
+        cfg.model()  # a bad race is reported as the race's fault, not the target's
         k = cfg.names.index(cfg.target["candidate"])
-        solutions = implied_sigma(
-            cfg.positions,
-            cfg.priors,
-            cfg.horizon_years,
-            k,
-            cfg.target["win_probability"],
-        )
+        with _field(f"{args.config}.target.win_probability"):
+            solutions = implied_sigma(
+                cfg.positions, cfg.priors, cfg.horizon_years, k, cfg.target["win_probability"]
+            )
         obj["implied"] = {
             "candidate": cfg.target["candidate"],
             "win_probability": cfg.target["win_probability"],

@@ -254,13 +254,23 @@ def posterior_support(model: ElectionModel, y, t: float) -> np.ndarray:
     """
     if not (0.0 <= t <= model.horizon):
         raise OutOfRangeTime(f"t={t} outside [0, {model.horizon}]")
-    v = model.schedule.variance(0.0, t)
+    return _softmax(_log_weight(model, y, model.schedule.variance(0.0, t)))
+
+
+def _log_weight(model: ElectionModel, y, variance) -> np.ndarray:
+    """Log posterior weights log p_j + y x_j - x_j^2 V / 2 (up to a common
+    constant) of signals y[...] at accumulated variances V[...], broadcast
+    together to [..., N]; a zero prior gives -inf. The model's schedule is
+    not read. Every support, ranking and support peak comes from these."""
     x = model.positions_arr
-    logw = model.log_priors_arr - 0.5 * x * x * v
-    y_arr = np.asarray(y, dtype=np.float64)
-    expo = logw + np.multiply.outer(y_arr, x)
-    expo -= np.max(expo, axis=-1, keepdims=True)
-    w = np.exp(expo)
+    y = np.asarray(y, dtype=np.float64)[..., None]
+    v = np.asarray(variance, dtype=np.float64)[..., None]
+    return (model.log_priors_arr - 0.5 * x * x * v) + y * x
+
+
+def _softmax(log_weight: np.ndarray) -> np.ndarray:
+    """Weights normalized along the last axis, max-shifted so none overflows."""
+    w = np.exp(log_weight - np.max(log_weight, axis=-1, keepdims=True))
     w /= np.sum(w, axis=-1, keepdims=True)
     return w
 

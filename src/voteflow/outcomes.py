@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveRate,
 )
 from .gaussian import normal_cdf, normal_cdf_diff
-from .model import ElectionModel
+from .model import ElectionModel, _log_weight
 
 __all__ = [
     "CrossingThreshold",
@@ -181,13 +181,12 @@ def ordering_partition(model: ElectionModel) -> OrderingPartition:
     if tie_count:
         _log.debug("%d coincident crossing threshold(s); zero-width cells merged", tie_count)
 
-    x = model.positions_arr
-    log_weight = model.log_priors_arr - 0.5 * x * x * model.terminal_variance
     edges = [-math.inf, *boundaries, math.inf]
+    probes = [_probe_point(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    score = _log_weight(model, probes, model.terminal_variance)
+    rankings = np.argsort(-score, axis=-1, kind="stable").tolist()
     cells: list[PartitionCell] = []
-    for lo, hi in zip(edges, edges[1:]):
-        score = log_weight + _probe_point(lo, hi) * x
-        ordering = tuple(int(i) for i in np.argsort(-score, kind="stable"))
+    for lo, hi, ordering in zip(edges, edges[1:], map(tuple, rankings)):
         if cells and cells[-1].ordering == ordering:
             cells[-1] = PartitionCell(cells[-1].lower, hi, ordering)
         else:
@@ -253,24 +252,19 @@ def win_probabilities(model: ElectionModel) -> OutcomeProbabilities:
 
 # crossing_threshold's log-odds term and interval_probability's CDF difference,
 # lifted elementwise: numpy's log can differ from math.log in the last bit, and
-# the kernel's lockout must agree exactly with is_dead_zone's
+# the lead intervals must agree exactly with crossing_threshold's values and
+# ordering_partition's cells
 _log_ratios = np.frompyfunc(_log_ratio, 2, 1)
 _cdf_diffs = np.frompyfunc(normal_cdf_diff, 2, 1)
 
 
-def _win_kernel(positions, priors, variance) -> np.ndarray:
-    """Win probabilities of a batch of races: positions and priors [..., N]
-    and terminal accumulated variances [...] broadcast to a result [..., N].
-
-    Candidate k leads exactly on (L_k, U_k), between its largest crossing
-    threshold with a rival to its left and its smallest with one to its
-    right, and wins with that interval's mass,
-    sum_j p_j [Phi((U_k - x_j V)/sqrt V) - Phi((L_k - x_j V)/sqrt V)];
-    exactly 0 when p_k = 0 or L_k >= U_k, as in ``is_dead_zone``.
-    """
-    x = np.asarray(positions, dtype=np.float64)
-    p = np.asarray(priors, dtype=np.float64)
-    v = np.asarray(variance, dtype=np.float64)[..., None]
+def _lead_intervals(x: np.ndarray, p: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+    """Lead intervals (L_k, U_k) of a batch of races with float positions x
+    and priors p [..., N] and terminal accumulated variances v [..., 1] (a
+    float for one race), broadcast to lower and upper ends [..., N]: k's
+    largest crossing threshold with a rival to its left (-inf if none) and
+    its smallest with one to its right (+inf if none). Candidate k ranks
+    first exactly on (L_k, U_k)."""
     n = x.shape[-1]
     pair = np.arange(n)[:, None] < np.arange(n)
     a, b = np.nonzero(pair)  # crossing_threshold(a, b) for each pair a < b
@@ -281,6 +275,21 @@ def _win_kernel(positions, priors, variance) -> np.ndarray:
     table[..., a, b] = cross
     lower = np.where(pair, table, -np.inf).max(axis=-2)  # column k: rivals left of k
     upper = np.where(pair, table, np.inf).min(axis=-1)  # row k: rivals right of k
+    return lower, upper
+
+
+def _win_kernel(positions, priors, variance) -> np.ndarray:
+    """Win probabilities of a batch of races: positions and priors [..., N]
+    and terminal accumulated variances [...] broadcast to a result [..., N].
+
+    Candidate k wins with the mass of its lead interval (L_k, U_k),
+    sum_j p_j [Phi((U_k - x_j V)/sqrt V) - Phi((L_k - x_j V)/sqrt V)];
+    exactly 0 when p_k = 0 or L_k >= U_k, as in ``is_dead_zone``.
+    """
+    x = np.asarray(positions, dtype=np.float64)
+    p = np.asarray(priors, dtype=np.float64)
+    v = np.asarray(variance, dtype=np.float64)[..., None]
+    lower, upper = _lead_intervals(x, p, v)
 
     # [..., k, j]: mass of k's lead interval under candidate j's law, needed
     # only where k can lead and p_j > 0

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelMismatch, ValidationError
-from .model import ElectionModel
+from .model import ElectionModel, _log_weight, _softmax
 from .outcomes import _win_kernel
 
 __all__ = [
@@ -183,15 +183,7 @@ def posterior_paths(ensemble: PathEnsemble, model: ElectionModel) -> TrajectoryB
     v_times = np.array(
         [model.schedule.variance(0.0, float(t)) for t in ensemble.times]
     )
-    x = model.positions_arr
-    expo = (
-        model.log_priors_arr[None, None, :]
-        + ensemble.signal_paths[:, :, None] * x[None, None, :]
-        - 0.5 * (x * x)[None, None, :] * v_times[None, :, None]
-    )
-    expo -= np.max(expo, axis=-1, keepdims=True)
-    support = np.exp(expo)
-    support /= np.sum(support, axis=-1, keepdims=True)
+    support = _softmax(_log_weight(model, ensemble.signal_paths, v_times))
     return TrajectoryBundle(times=ensemble.times, support=support)
 
 
@@ -237,9 +229,8 @@ def monte_carlo_win_probabilities(
     cum_priors = np.cumsum(model.priors_arr)
     latent = _draw_latent(rng, cum_priors, n_paths)
     v = model.terminal_variance
-    x = model.positions_arr
-    y = x[latent] * v + math.sqrt(v) * rng.standard_normal(n_paths)
-    log_weight = model.log_priors_arr + y[:, None] * x - 0.5 * x * x * v
+    y = model.positions_arr[latent] * v + math.sqrt(v) * rng.standard_normal(n_paths)
+    log_weight = _log_weight(model, y, v)
 
     order = np.argsort(-log_weight, axis=1, kind="stable")
     sorted_weight = np.take_along_axis(log_weight, order, axis=1)

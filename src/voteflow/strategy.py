@@ -6,7 +6,8 @@ candidate first and their win probability is identically zero. For three
 candidates the lockout condition is equivalent to an upper bound on the
 information flow rate, so the rate at which the dead zone opens up can be
 solved for. Interior candidates also face a hard ceiling on their
-election-day support, the root of a one-dimensional first-order condition.
+election-day support, the root of a one-dimensional first-order condition,
+found for a whole rate grid by one batched bracket-and-bisection.
 
 Sweeps evaluate win probabilities over grids of the rate, the current
 support rates, and the spectrum positions: each grid point is validated as
@@ -30,8 +31,8 @@ from .errors import (
     ValidationError,
     ZeroPrior,
 )
-from .model import ElectionModel, posterior_support
-from .outcomes import _wins_of, crossing_threshold
+from .model import ElectionModel, _log_weight, _softmax
+from .outcomes import _lead_intervals, _wins_of
 
 __all__ = [
     "DeadZoneReport",
@@ -123,19 +124,17 @@ def is_dead_zone(model: ElectionModel, k: int) -> DeadZoneReport:
     largest crossing with a candidate to the left (-inf if none) and U_k the
     smallest crossing with a candidate to the right (+inf if none); a
     zero-prior rival crosses at -+inf and so never binds. k is dead when its
-    own prior is zero or the interval is empty. Works for any number of
-    candidates and any k. For the three-candidate centre seat (all priors
+    own prior is zero or the interval is empty, which is exactly where the
+    win kernel, integrating the same interval, gives 0. Works for any number
+    of candidates and any k. For the three-candidate centre seat (all priors
     positive, constant rate) the report also carries the rate bound below
     which the dead zone persists.
     """
     n = model.n_candidates
     if not (0 <= k < n):
         raise ValidationError(f"candidate index {k} outside [0, {n})")
-    lower = max((crossing_threshold(model, j, k).value for j in range(k)), default=-math.inf)
-    upper = min(
-        (crossing_threshold(model, k, j).value for j in range(k + 1, n)), default=math.inf
-    )
-    dead = model.priors[k] == 0.0 or not (lower < upper)
+    lower, upper = _lead_intervals(model.positions_arr, model.priors_arr, model.terminal_variance)
+    dead = model.priors[k] == 0.0 or not (lower[k] < upper[k])
     bound = None
     if (
         n == 3
@@ -201,51 +200,55 @@ def max_support_point(model: ElectionModel, k: int) -> MaxSupportReport:
     n = model.n_candidates
     if not (0 < k < n - 1):
         raise NotInteriorCandidate(f"candidate {k} is not interior for N={n}")
-    priors = model.priors
-    positions = model.positions
-    if not any(p > 0.0 for p, x in zip(priors, positions) if x < positions[k]):
-        raise NoBracket(f"no supported candidate left of x_{k}={positions[k]}")
-    if not any(p > 0.0 for p, x in zip(priors, positions) if x > positions[k]):
-        raise NoBracket(f"no supported candidate right of x_{k}={positions[k]}")
+    peak = _support_peaks(model, [model.terminal_variance], [k])
+    y_star, pi_max, residual = (float(a[0, 0]) for a in peak)
+    if math.isnan(pi_max):
+        raise NoBracket(f"no supported candidate on one side of x_{k}={model.positions[k]}")
+    return MaxSupportReport(candidate=k, y_star=y_star, pi_max=pi_max, residual=residual)
 
-    v = model.terminal_variance
-    horizon = model.horizon
-    xk = model.positions_arr[k]
 
-    def g(y: float) -> float:
-        support = posterior_support(model, y, horizon)
-        return float((model.positions_arr - xk) @ support)
+def _support_peaks(model: ElectionModel, variances, ks):
+    """``max_support_point``'s search for candidates ks[K] of the model's
+    race at terminal variances V[R]: y_star, pi_max and residual [R, K].
 
-    p_min = min(p for p in priors if p > 0.0)
-    x_max_sq = max(x * x for x in positions)
-    radius = 10.0 * (abs(math.log(p_min)) + x_max_sq * v + 1.0)
-    lo, hi = -radius, radius
+    Every element runs the scalar search: its bracket ends double from the
+    radius 10 (|log p_min| + max x^2 V + 1) at most 60 times; then at most
+    500 bisection steps, stopped once |g| < ROOT_RESIDUAL_TOL, keep the mid
+    point of smallest |g|. All three are NaN where the bracket holds no sign
+    change, which happens exactly when no candidate on one side of x_k has a
+    positive prior.
+    """
+    v = np.asarray(variances, dtype=np.float64)[:, None]
+    x = model.positions_arr
+    offsets = (x - x[ks, None])[..., None]  # [K, N, 1]: x_j - x_k
+
+    def g(y):
+        support = _softmax(_log_weight(model, y, v))
+        return np.matmul(support[..., None, :], offsets)[..., 0, 0]
+
+    p_min = min(p for p in model.priors if p > 0.0)
+    hi = 10.0 * (abs(math.log(p_min)) + np.max(x * x) * v + 1.0) * np.ones(len(ks))
+    lo = -hi
     for _ in range(60):
-        if g(lo) < 0.0:
+        widen_lo, widen_hi = ~(g(lo) < 0.0), ~(g(hi) > 0.0)
+        if not (widen_lo.any() or widen_hi.any()):
             break
-        lo *= 2.0
-    for _ in range(60):
-        if g(hi) > 0.0:
-            break
-        hi *= 2.0
-    g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo < 0.0 < g_hi):
-        raise NoBracket(f"no sign change on [{lo}, {hi}]: g={g_lo}, {g_hi}")
-
-    y_star, residual = lo, abs(g_lo)
+        lo, hi = np.where(widen_lo, 2.0 * lo, lo), np.where(widen_hi, 2.0 * hi, hi)
+    g_lo = g(lo)
+    active = (g_lo < 0.0) & (g(hi) > 0.0)
+    y_star, residual = np.where(active, lo, np.nan), np.where(active, np.abs(g_lo), np.nan)
     for _ in range(500):
+        if not active.any():
+            break
         mid = 0.5 * (lo + hi)
         g_mid = g(mid)
-        if abs(g_mid) < residual:
-            y_star, residual = mid, abs(g_mid)
-        if abs(g_mid) < ROOT_RESIDUAL_TOL:
-            break
-        if g_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    pi_max = float(posterior_support(model, y_star, horizon)[k])
-    return MaxSupportReport(candidate=k, y_star=y_star, pi_max=pi_max, residual=residual)
+        better = active & (np.abs(g_mid) < residual)
+        y_star[better], residual[better] = mid[better], np.abs(g_mid[better])
+        active &= ~(np.abs(g_mid) < ROOT_RESIDUAL_TOL)
+        lo = np.where(active & (g_mid < 0.0), mid, lo)
+        hi = np.where(active & ~(g_mid < 0.0), mid, hi)
+    pi_max = _softmax(_log_weight(model, y_star, v))[:, np.arange(len(ks)), ks]
+    return y_star, pi_max, residual
 
 
 def max_support_curve(
@@ -257,21 +260,16 @@ def max_support_curve(
     """Peak attainable support per candidate over a grid of constant rates.
 
     Spectrum-end candidates have no interior peak: their support is monotone
-    in the signal and approaches 1 (0 for a zero prior), reported as such.
+    in the signal and approaches 1 (0 for a zero prior), reported as such;
+    so is an interior candidate with no peak.
     """
     grid = tuple(sigma_grid) if sigma_grid is not None else default_sigma_grid()
     n = len(positions)
-    values = np.zeros((len(grid), n))
-    for row, sigma in enumerate(grid):
-        model = ElectionModel(positions, priors, horizon, sigma)
-        for k in range(n):
-            if k in (0, n - 1):
-                values[row, k] = 1.0 if model.priors[k] > 0.0 else 0.0
-                continue
-            try:
-                values[row, k] = max_support_point(model, k).pi_max
-            except NoBracket:
-                values[row, k] = 1.0 if model.priors[k] > 0.0 else 0.0
+    model = ElectionModel(positions, priors, horizon, 1.0)
+    variances = [model.with_schedule(sigma).terminal_variance for sigma in grid]
+    _, peak, _ = _support_peaks(model, variances, np.arange(1, n - 1))
+    values = np.tile(model.priors_arr > 0.0, (len(grid), 1)).astype(np.float64)
+    values[:, 1:-1] = np.where(np.isnan(peak), values[:, 1:-1], peak)
     return SweepTable(
         axis_name="sigma",
         axis_values=grid,

@@ -1,10 +1,12 @@
 """CLI subcommands: exit codes, formats, determinism, round trips."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from voteflow import (
     simulate_paths,
     win_probabilities,
 )
-from voteflow.cli import main
+from voteflow.cli import Report, _emit, main
 
 from conftest import POLARISED_P, POLARISED_X
 
@@ -455,6 +457,51 @@ class TestConfigRejections:
         cfg = write_config_with_token(tmp_path, payload, token)
         assert main(["forecast", "--config", cfg]) == 2
         assert f".{field}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "block, argv, field",
+        [
+            ({"sweep": {"prior_grid": [[0.5, 0.5]]}}, ["sweep", "--axis", "priors"],
+             "sweep.prior_grid"),
+            ({"sweep": {"position_variants": [[3.0, 2.0, 1.0]]}}, ["sweep", "--axis", "positions"],
+             "sweep.position_variants"),
+            ({"target": {"candidate": "left", "win_probability": 1.5}}, ["calibrate"],
+             "target.win_probability"),
+            ({"sources": {"rates": [1.0, 1.0], "correlation": [[1.0, 2.0], [2.0, 1.0]]}},
+             ["aggregate"], "sources"),
+            ({"sources": {"rates": [1.0, 1.0], "correlation": [[1.0], [0.5, 1.0]]}},
+             ["aggregate"], "sources"),
+        ],
+        ids=["prior-grid", "position-variants", "target", "sources", "sources-ragged"],
+    )
+    def test_library_rejection_names_its_field(self, tmp_path, capsys, block, argv, field):
+        # the library decides what is invalid; the CLI says where it came from
+        cfg = write_config(tmp_path, {**POLARISED_CONFIG, **block})
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+        assert f"error: {cfg}.{field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_streams_a_large_report(tmp_path, fmt):
+    # 50,000 rows of four floats: several MB of text, written as it is
+    # generated, so memory never holds the text (nor, for JSON, the arrays
+    # as Python lists)
+    data = np.linspace(0.0, 1.0, 200_000).reshape(50, 1000, 4)
+    report = Report(
+        json=lambda: {"rows": list(data)},
+        meta={"rows": 50_000},
+        header=["a", "b", "c", "d"],
+        rows=(tuple(map(float, row)) for block in data for row in block),
+    )
+    out = tmp_path / f"report.{fmt}"
+    tracemalloc.start()
+    try:
+        _emit(report, argparse.Namespace(format=fmt, out=str(out)), sys.stdout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 3_000_000
+    assert peak < out.stat().st_size / 10
 
 
 @pytest.mark.parametrize(

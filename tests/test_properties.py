@@ -18,6 +18,7 @@ from voteflow import (
     ElectionModel,
     InfoSchedule,
     condition_on_history,
+    crossing_threshold,
     interval_probability,
     is_dead_zone,
     ordering_partition,
@@ -83,11 +84,38 @@ def test_common_position_shift_leaves_win_probabilities_unchanged(model, shift):
 
 
 @PROPERTY_SETTINGS
+@given(races(), st.floats(0.25, 4.0))
+def test_joint_scale_of_positions_and_rates_leaves_win_probabilities_unchanged(model, scale):
+    # thresholds scale by 1/scale in Y-space and every interval's standard
+    # score is unchanged, piecewise schedules included
+    schedule = InfoSchedule.piecewise(
+        model.schedule.breakpoints, [r / scale for r in model.schedule.rates]
+    )
+    scaled = ElectionModel(
+        tuple(x * scale for x in model.positions), model.priors, model.horizon, schedule
+    )
+    np.testing.assert_allclose(
+        win_probabilities(scaled).win_probs, win_probabilities(model).win_probs, atol=1e-12
+    )
+
+
+def locked_out(model, k):
+    """k leads for no signal: its prior is zero, or its largest crossing with
+    a rival on the left is not below its smallest with one on the right."""
+    n = model.n_candidates
+    lower = max((crossing_threshold(model, j, k).value for j in range(k)), default=-math.inf)
+    upper = min((crossing_threshold(model, k, j).value for j in range(k + 1, n)), default=math.inf)
+    return model.priors[k] == 0.0 or not (lower < upper)
+
+
+@PROPERTY_SETTINGS
 @given(races())
 def test_zero_exactly_where_locked_out(model):
-    win = win_probabilities(model).win_probs
-    dead = [is_dead_zone(model, k).is_dead for k in range(model.n_candidates)]
-    assert list(win == 0.0) == dead
+    # lockout rebuilt here from the scalar crossings, independently of the
+    # lead intervals that the kernel and is_dead_zone share
+    locked = [locked_out(model, k) for k in range(model.n_candidates)]
+    assert list(win_probabilities(model).win_probs == 0.0) == locked
+    assert [is_dead_zone(model, k).is_dead for k in range(model.n_candidates)] == locked
 
 
 @PROPERTY_SETTINGS

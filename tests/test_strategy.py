@@ -230,6 +230,25 @@ class TestMaxSupport:
         np.testing.assert_array_equal(table.values[:, 0], 1.0)
         np.testing.assert_array_equal(table.values[:, 4], 1.0)
 
+    def test_curve_matches_golden_section_at_every_rate(self):
+        # one batched search over rates and interior candidates, against a
+        # golden-section maximization of each support curve; the zero-prior
+        # candidate 3 peaks at exactly 0, candidate 1 has no supported rival
+        # on its left at any rate and so reads 1
+        positions, priors, horizon = (0.0, 0.7, 1.5, 2.6, 3.1), (0.0, 0.3, 0.35, 0.0, 0.35), 0.8
+        grid = (0.1, 0.4, 1.0, 2.0, 3.0)
+        table = max_support_curve(positions, priors, horizon, grid)
+        np.testing.assert_array_equal(table.values[:, [0, 1, 3, 4]], [[0.0, 1.0, 0.0, 1.0]] * 5)
+        for sigma, peak in zip(grid, table.values[:, 2]):
+            model = ElectionModel(positions, priors, horizon, sigma)
+
+            def support(y, model=model):
+                return float(posterior_support(model, y, horizon)[2])
+
+            y_gold = golden_section_max(support, -50.0, 50.0)
+            assert peak == pytest.approx(support(y_gold), abs=1e-9)
+            assert peak == max_support_point(model, 2).pi_max
+
     def test_extremal_support_approaches_one(self):
         # the spectrum-end candidates' support is monotone with supremum 1;
         # at y = -+(10 sqrt(V) + max|x| V) the residual mass of the adjacent

@@ -1,0 +1,152 @@
+"""Record every CLI output on every bundled config, for diffing two checkouts.
+
+    python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
+
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 11
+invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
+axes, simulate with and without ``--seed 7``, calibrate, and calibrate
+``--data`` on a fixed 201-row poll CSV) on each config in ``configs/``, in
+both formats, once to stdout and once to ``--out``. Each run leaves
+``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
+``stdout``, ``stderr``, ``exit_code`` and, for ``--out`` runs, the written
+``report.<format>``. Runs use relative paths from OUT_DIR, so two checkouts'
+trees differ only where their outputs do, and ``diff -r`` compares them.
+
+``--compare`` then lists every file that differs from OTHER_OUT_DIR, with
+the largest absolute difference between corresponding numbers, or
+"text differs" when more than numbers changed; it exits 1 if any differs.
+Uses only the standard library, so it runs whatever the checkout holds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import random
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+INVOCATIONS = {
+    "forecast": ["forecast"],
+    "deadzone": ["deadzone"],
+    "maxsupport": ["maxsupport"],
+    "aggregate": ["aggregate"],
+    "sweep-sigma": ["sweep", "--axis", "sigma"],
+    "sweep-priors": ["sweep", "--axis", "priors"],
+    "sweep-positions": ["sweep", "--axis", "positions"],
+    "simulate": ["simulate"],
+    "simulate-seed7": ["simulate", "--seed", "7"],
+    "calibrate": ["calibrate"],
+    "calibrate-data": ["calibrate", "--data", "{polls}"],
+}
+
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def write_polls(config: dict, path: Path, rows: int = 201) -> None:
+    """A poll series from the model's own filter along one seeded signal
+    path at unit rate: header t,<names>, then rows of supports."""
+    names = [c["name"] for c in config["candidates"]]
+    x = [float(c["position"]) for c in config["candidates"]]
+    log_p = [math.log(c["prior"]) if c["prior"] > 0 else -math.inf for c in config["candidates"]]
+    dt = float(config["horizon_years"]) / (rows - 1)
+    rng = random.Random(20230501)
+    y = 0.0
+    lines = [",".join(["t", *names])]
+    for i in range(rows):
+        t = i * dt
+        w = [lp + y * xj - 0.5 * xj * xj * t for lp, xj in zip(log_p, x)]
+        e = [math.exp(v - max(w)) for v in w]
+        total = sum(e)
+        lines.append(",".join(repr(v) for v in (t, *(v / total for v in e))))
+        y += rng.gauss(0.0, math.sqrt(dt))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def run_one(src: Path, out_dir: Path, stem: str, name: str, fmt: str, dest: str) -> None:
+    run_dir = Path(stem) / name / f"{fmt}-{dest}"
+    (out_dir / run_dir).mkdir(parents=True, exist_ok=True)
+    argv = [a.replace("{polls}", f"polls/{stem}.csv") for a in INVOCATIONS[name]]
+    argv += ["--config", f"configs/{stem}.json", "--format", fmt]
+    if dest == "out":
+        argv += ["--out", str(run_dir / f"report.{fmt}")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "voteflow.cli", *argv],
+        cwd=out_dir,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        check=False,
+    )
+    (out_dir / run_dir / "stdout").write_bytes(proc.stdout)
+    (out_dir / run_dir / "stderr").write_bytes(proc.stderr)
+    (out_dir / run_dir / "exit_code").write_text(f"{proc.returncode}\n", encoding="utf-8")
+
+
+def record(src: Path, out_dir: Path) -> int:
+    shutil.copytree(CONFIG_DIR, out_dir / "configs", dirs_exist_ok=True)
+    (out_dir / "polls").mkdir(parents=True, exist_ok=True)
+    stems = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+    for stem in stems:
+        config = json.loads((CONFIG_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+        write_polls(config, out_dir / "polls" / f"{stem}.csv")
+    runs = [
+        (stem, name, fmt, dest)
+        for stem in stems
+        for name in INVOCATIONS
+        for fmt in ("json", "csv")
+        for dest in ("stdout", "out")
+    ]
+    for run in runs:
+        run_one(src, out_dir, *run)
+    return len(runs)
+
+
+def difference(a: str, b: str) -> str:
+    """The largest absolute difference between corresponding numbers of two
+    texts, or "text differs" when anything but the numbers differs."""
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return "text differs"
+    pairs = zip(NUMBER.findall(a), NUMBER.findall(b))
+    return f"max abs diff {max(abs(float(u) - float(v)) for u, v in pairs):.3g}"
+
+
+def compare(ours: Path, theirs: Path) -> int:
+    files = {
+        p.relative_to(root) for root in (ours, theirs) for p in root.rglob("*") if p.is_file()
+    }
+    differing = 0
+    for rel in sorted(files):
+        a, b = ours / rel, theirs / rel
+        if not (a.is_file() and b.is_file()):
+            print(f"{rel}: only in {ours if a.is_file() else theirs}")
+        elif a.read_bytes() != b.read_bytes():
+            texts = (path.read_text(encoding="utf-8") for path in (a, b))
+            print(f"{rel}: {difference(*texts)}")
+        else:
+            continue
+        differing += 1
+    print(f"{differing} of {len(files)} files differ")
+    return 1 if differing else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("src", type=Path, help="a checkout's src directory")
+    parser.add_argument("out", type=Path, help="directory to record the outputs in")
+    parser.add_argument("--compare", type=Path, default=None, help="another OUT_DIR to diff with")
+    args = parser.parse_args()
+    args.out.mkdir(parents=True, exist_ok=True)
+    count = record(args.src.resolve(), args.out.resolve())
+    print(f"recorded {count} runs in {args.out}")
+    return compare(args.out, args.compare) if args.compare is not None else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
