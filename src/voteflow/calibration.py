@@ -31,8 +31,8 @@ from .errors import (
     Unattainable,
     ValidationError,
 )
-from .model import ElectionModel
-from .outcomes import _wins_of, win_probabilities
+from .model import ElectionModel, _rate_variances
+from .outcomes import _win_kernel
 
 __all__ = [
     "PollSeries",
@@ -165,13 +165,14 @@ def implied_sigma(
     if not (0 <= candidate < n):
         raise ValidationError(f"candidate index {candidate} outside [0, {n})")
 
-    def win(sigma: float) -> float:
-        model = ElectionModel(positions, priors, horizon, sigma)
-        return float(win_probabilities(model).win_probs[candidate])
+    model = ElectionModel(positions, priors, horizon, 1.0)
+
+    def win(sigmas) -> np.ndarray:
+        variances = _rate_variances(sigmas, model.horizon)
+        return _win_kernel(model.positions_arr, model.priors_arr, variances)[:, candidate]
 
     grid = np.geomspace(sigma_min, sigma_max, scan_points)
-    scan = [ElectionModel(positions, priors, horizon, float(s)) for s in grid]
-    gap = _wins_of(scan, n)[:, candidate] - target
+    gap = win(grid) - target
     zero = gap == 0.0
 
     solutions: list[float] = []
@@ -213,12 +214,12 @@ def implied_sigma(
 
 
 def _bisect_crossing(win, target: float, lo: float, hi: float, tol: float) -> float:
-    f_lo = win(lo) - target
+    f_lo = win([lo])[0] - target
     for _ in range(200):
         if abs(hi - lo) <= tol:
             break
         mid = 0.5 * (lo + hi)
-        f_mid = win(mid) - target
+        f_mid = win([mid])[0] - target
         if f_mid == 0.0:
             return mid
         if (f_lo < 0.0) == (f_mid < 0.0):
@@ -234,7 +235,7 @@ def _plateau_edge(win, target: float, inside: float, outside: float, tol: float)
         if abs(outside - inside) <= tol:
             break
         mid = 0.5 * (inside + outside)
-        if win(mid) == target:
+        if win([mid])[0] == target:
             inside = mid
         else:
             outside = mid

@@ -29,6 +29,8 @@ from .errors import (
     ConfigError,
     CsvDataError,
     MissingSweepBlock,
+    NonIncreasingPositions,
+    NonPositiveRate,
     NumericalError,
     ValidationError,
 )
@@ -37,10 +39,10 @@ from .outcomes import win_probabilities
 from .simulation import simulate_paths, winprob_paths
 from .strategy import (
     SweepTable,
+    _max_support_points,
     _simplex_cells,
     is_dead_zone,
     max_support_curve,
-    max_support_point,
     sweep_positions,
     sweep_priors,
     sweep_sigma,
@@ -61,7 +63,7 @@ EXIT_NUMERICAL = 4
 MAX_PATH_POINTS = 10**6
 
 #: Largest prior simplex a sweep.prior_grid_step may ask for: each grid point
-#: becomes a validated model and a report row.
+#: becomes a validated prior row and a report row.
 MAX_PRIOR_GRID_POINTS = 10**5
 
 
@@ -90,12 +92,12 @@ class ScenarioConfig:
 
 
 @contextmanager
-def _field(context: str):
-    """Re-raise a library rejection as a ConfigError led by ``context``,
-    usually the config field the rejected value came from."""
+def _field(context: str, kind=ValidationError):
+    """Re-raise a library rejection of class ``kind`` as a ConfigError led
+    by ``context``, usually the config field the rejected value came from."""
     try:
         yield
-    except ValidationError as exc:
+    except kind as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -415,7 +417,8 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
     meta = {"axis": args.axis}
     if args.axis == "sigma":
-        table = sweep_sigma(model, cfg.sigma_grid)
+        with _field(f"{args.config}.sweep.sigma_grid", NonPositiveRate):
+            table = sweep_sigma(model, cfg.sigma_grid)
         axis_columns = ["sigma"]
     elif args.axis == "priors":
         try:
@@ -434,7 +437,10 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
     else:  # positions
         if not cfg.position_variants:
             raise MissingSweepBlock("position sweep needs sweep.position_variants in the config")
-        with _field(f"{args.config}.sweep.position_variants"):
+        with (
+            _field(f"{args.config}.sweep.position_variants", NonIncreasingPositions),
+            _field(f"{args.config}.sweep.sigma_grid", NonPositiveRate),
+        ):
             table = sweep_positions(model, cfg.position_variants, cfg.sigma_grid)
         axis_columns = ["sigma"]
         for vi, variant in enumerate(cfg.position_variants):
@@ -517,12 +523,11 @@ def cmd_deadzone(args, cfg: ScenarioConfig) -> Report:
 
 def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
-    table = max_support_curve(cfg.positions, cfg.priors, cfg.horizon_years, cfg.sigma_grid)
-
-    reports = [max_support_point(model, k) for k in range(1, len(cfg.names) - 1)]
+    with _field(f"{args.config}.sweep.sigma_grid", NonPositiveRate):
+        table = max_support_curve(cfg.positions, cfg.priors, cfg.horizon_years, cfg.sigma_grid)
     points = {
         cfg.names[r.candidate]: {"y_star": r.y_star, "pi_max": r.pi_max, "residual": r.residual}
-        for r in reports
+        for r in _max_support_points(model, range(1, len(cfg.names) - 1))
     }
     return Report(
         json=lambda: {

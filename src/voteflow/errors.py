@@ -33,7 +33,8 @@ class NonPositiveHorizon(ValidationError):
 
 
 class NonPositiveRate(ValidationError):
-    """Information flow rates must be strictly positive."""
+    """Information flow rates must be finite and strictly positive, and so
+    must the terminal variance they accumulate over the horizon."""
 
 
 # --- evaluation domains -----------------------------------------------------

@@ -133,6 +133,52 @@ def _as_schedule(schedule: ScheduleLike) -> InfoSchedule:
     return InfoSchedule.constant(float(schedule))
 
 
+def _positions(values) -> tuple[float, ...]:
+    """Candidate positions as floats: at least two, finite, strictly increasing."""
+    positions = tuple(float(v) for v in values)
+    if len(positions) < 2:
+        raise NonIncreasingPositions("need at least two candidates")
+    if any(not math.isfinite(v) for v in positions):
+        raise NonIncreasingPositions(f"positions must be finite: {positions}")
+    if any(a >= b for a, b in zip(positions, positions[1:])):
+        raise NonIncreasingPositions(
+            f"positions must be strictly increasing: {positions}"
+        )
+    return positions
+
+
+def _priors(values, n: int) -> tuple[float, ...]:
+    """Priors of n candidates, finite and >= 0, summing to 1 within
+    PRIOR_SUM_TOLERANCE; returned divided by their ``math.fsum``."""
+    raw_priors = tuple(float(v) for v in values)
+    if len(raw_priors) != n:
+        raise PriorsNotNormalized(f"{len(raw_priors)} priors for {n} positions")
+    if any((v < 0.0) or not math.isfinite(v) for v in raw_priors):
+        raise PriorsNotNormalized(f"priors must be finite and >= 0: {raw_priors}")
+    total = math.fsum(raw_priors)
+    if abs(total - 1.0) > PRIOR_SUM_TOLERANCE:
+        raise PriorsNotNormalized(f"priors sum to {total!r}, not 1")
+    return tuple(v / total for v in raw_priors)
+
+
+def _terminal_variance(schedule: InfoSchedule, horizon: float) -> float:
+    """V(0, horizon) of a schedule; where it underflows to 0 or overflows to
+    inf, no crossing or interval mass is defined, so it is rejected."""
+    v = schedule.variance(0.0, horizon)
+    if not (0.0 < v < math.inf):
+        raise NonPositiveRate(
+            f"sigma rates {schedule.rates} over horizon_years {horizon!r} give terminal "
+            f"variance {v!r}; it must be finite and > 0"
+        )
+    return v
+
+
+def _rate_variances(rates, horizon: float) -> np.ndarray:
+    """Terminal variances over a valid horizon of a grid of constant rates,
+    each rate and variance checked as ``ElectionModel`` checks them."""
+    return np.array([_terminal_variance(_as_schedule(r), horizon) for r in rates])
+
+
 @dataclass(frozen=True)
 class ElectionModel:
     """Validated parameterization of a race.
@@ -145,7 +191,7 @@ class ElectionModel:
         the candidate has negligible current support.
     horizon: time to the election in years, > 0.
     schedule: information flow rate process; a bare float means a constant
-        rate.
+        rate. Its terminal variance V(0, horizon) must be finite and > 0.
     """
 
     positions: tuple[float, ...]
@@ -154,33 +200,13 @@ class ElectionModel:
     schedule: InfoSchedule
 
     def __post_init__(self):
-        positions = tuple(float(v) for v in self.positions)
-        raw_priors = tuple(float(v) for v in self.priors)
-        horizon = float(self.horizon)
         schedule = _as_schedule(self.schedule)
-
-        if len(positions) < 2:
-            raise NonIncreasingPositions("need at least two candidates")
-        if len(raw_priors) != len(positions):
-            raise PriorsNotNormalized(
-                f"{len(raw_priors)} priors for {len(positions)} positions"
-            )
-        if any(not math.isfinite(v) for v in positions):
-            raise NonIncreasingPositions(f"positions must be finite: {positions}")
-        if any(a >= b for a, b in zip(positions, positions[1:])):
-            raise NonIncreasingPositions(
-                f"positions must be strictly increasing: {positions}"
-            )
-        if any((v < 0.0) or not math.isfinite(v) for v in raw_priors):
-            raise PriorsNotNormalized(f"priors must be finite and >= 0: {raw_priors}")
-        total = math.fsum(raw_priors)
-        if abs(total - 1.0) > PRIOR_SUM_TOLERANCE:
-            raise PriorsNotNormalized(f"priors sum to {total!r}, not 1")
+        object.__setattr__(self, "positions", _positions(self.positions))
+        object.__setattr__(self, "priors", _priors(self.priors, len(self.positions)))
+        horizon = float(self.horizon)
         if not (horizon > 0.0) or not math.isfinite(horizon):
             raise NonPositiveHorizon(f"horizon must be finite and > 0, got {horizon}")
-
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "priors", tuple(v / total for v in raw_priors))
+        _terminal_variance(schedule, horizon)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "schedule", schedule)
 
@@ -213,7 +239,7 @@ class ElectionModel:
     @property
     def terminal_variance(self) -> float:
         """V(0, horizon), the election-day accumulated squared rate."""
-        return self.schedule.variance(0.0, self.horizon)
+        return _terminal_variance(self.schedule, self.horizon)
 
     def with_schedule(self, schedule: ScheduleLike) -> "ElectionModel":
         return ElectionModel(self.positions, self.priors, self.horizon, _as_schedule(schedule))

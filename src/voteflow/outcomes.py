@@ -301,16 +301,6 @@ def _win_kernel(positions, priors, variance) -> np.ndarray:
     return (p[..., None, :] * mass).sum(axis=-1)
 
 
-def _wins_of(models, n: int) -> np.ndarray:
-    """``win_probabilities(m).win_probs`` of each model (all with n
-    candidates), one row per model, from one kernel call."""
-    return _win_kernel(
-        np.reshape([m.positions for m in models], (-1, n)),
-        np.reshape([m.priors for m in models], (-1, n)),
-        np.array([m.terminal_variance for m in models]),
-    )
-
-
 def two_candidate_win_probability(p: float, sigma: float, horizon: float) -> float:
     """Closed form for a two-candidate race with labels (0, 1).
 

@@ -10,9 +10,11 @@ election-day support, the root of a one-dimensional first-order condition,
 found for a whole rate grid by one batched bracket-and-bisection.
 
 Sweeps evaluate win probabilities over grids of the rate, the current
-support rates, and the spectrum positions: each grid point is validated as
-its own model, and the whole grid's lead-interval masses are evaluated in
-one batched closed-form call, in deterministic grid order.
+support rates, and the spectrum positions. Each validates the parts of the
+race it holds fixed once, as one model, and checks each entry of the axis
+it varies by the rule that model applies to it; then the whole grid's
+lead-interval masses are evaluated in one batched closed-form call, in
+deterministic grid order.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .errors import (
     ValidationError,
     ZeroPrior,
 )
-from .model import ElectionModel, _log_weight, _softmax
-from .outcomes import _lead_intervals, _wins_of
+from .model import ElectionModel, _log_weight, _positions, _priors, _rate_variances, _softmax
+from .outcomes import _lead_intervals, _win_kernel
 
 __all__ = [
     "DeadZoneReport",
@@ -197,14 +199,23 @@ def max_support_point(model: ElectionModel, k: int) -> MaxSupportReport:
     convergent. Requires positive prior mass strictly on both sides of x_k;
     otherwise the support curve is monotone and has no interior peak.
     """
+    return _max_support_points(model, [k])[0]
+
+
+def _max_support_points(model: ElectionModel, ks) -> list[MaxSupportReport]:
+    """``max_support_point`` of each interior candidate in ks, from one
+    batched search at the model's terminal variance."""
     n = model.n_candidates
-    if not (0 < k < n - 1):
-        raise NotInteriorCandidate(f"candidate {k} is not interior for N={n}")
-    peak = _support_peaks(model, [model.terminal_variance], [k])
-    y_star, pi_max, residual = (float(a[0, 0]) for a in peak)
-    if math.isnan(pi_max):
-        raise NoBracket(f"no supported candidate on one side of x_{k}={model.positions[k]}")
-    return MaxSupportReport(candidate=k, y_star=y_star, pi_max=pi_max, residual=residual)
+    for k in ks:
+        if not (0 < k < n - 1):
+            raise NotInteriorCandidate(f"candidate {k} is not interior for N={n}")
+    peaks = _support_peaks(model, [model.terminal_variance], ks)
+    reports = []
+    for k, y_star, pi_max, residual in zip(ks, *(a[0].tolist() for a in peaks)):
+        if math.isnan(pi_max):
+            raise NoBracket(f"no supported candidate on one side of x_{k}={model.positions[k]}")
+        reports.append(MaxSupportReport(k, y_star, pi_max, residual))
+    return reports
 
 
 def _support_peaks(model: ElectionModel, variances, ks):
@@ -266,8 +277,7 @@ def max_support_curve(
     grid = tuple(sigma_grid) if sigma_grid is not None else default_sigma_grid()
     n = len(positions)
     model = ElectionModel(positions, priors, horizon, 1.0)
-    variances = [model.with_schedule(sigma).terminal_variance for sigma in grid]
-    _, peak, _ = _support_peaks(model, variances, np.arange(1, n - 1))
+    _, peak, _ = _support_peaks(model, _rate_variances(grid, model.horizon), np.arange(1, n - 1))
     values = np.tile(model.priors_arr > 0.0, (len(grid), 1)).astype(np.float64)
     values[:, 1:-1] = np.where(np.isnan(peak), values[:, 1:-1], peak)
     return SweepTable(
@@ -288,7 +298,9 @@ def sweep_sigma(
         axis_name="sigma",
         axis_values=grid,
         columns=tuple(f"p_win_{k}" for k in range(n)),
-        values=_wins_of([model.with_schedule(sigma) for sigma in grid], n),
+        values=_win_kernel(
+            model.positions_arr, model.priors_arr, _rate_variances(grid, model.horizon)
+        ),
     )
 
 
@@ -299,33 +311,22 @@ def sweep_positions(
 ) -> SweepTable:
     """Win-probability gains of repositioned spectra over a rate grid.
 
-    For each variant position vector (same length, strictly increasing) and
-    each rate, the entry is win_prob(variant) - win_prob(base), candidate by
-    candidate. Columns are grouped variant-major; with a single variant the
-    labels are plain ``delta_<k>``.
+    For each variant position vector (same length, checked as a model's
+    positions) and each rate, the entry is win_prob(variant) -
+    win_prob(base), candidate by candidate. Columns are grouped
+    variant-major; with a single variant the labels are plain ``delta_<k>``.
     """
     grid = tuple(sigma_grid) if sigma_grid is not None else default_sigma_grid()
     n = base_model.n_candidates
-    variants = [tuple(float(x) for x in v) for v in variants]
+    variants = [_positions(v) for v in variants]
     for v in variants:
         if len(v) != n:
             raise NonIncreasingPositions(f"variant {v} has {len(v)} positions, need {n}")
-        if any(a >= b for a, b in zip(v, v[1:])):
-            raise NonIncreasingPositions(f"variant positions must be strictly increasing: {v}")
-
-    base = _wins_of([base_model.with_schedule(sigma) for sigma in grid], n)
-    moved = _wins_of(
-        [
-            ElectionModel(positions, base_model.priors, base_model.horizon, sigma)
-            for sigma in grid
-            for positions in variants
-        ],
-        n,
-    )
-    # rows of moved run sigma-major, so each sigma's variants sit side by side
-    values = (moved.reshape(len(grid), len(variants), n) - base[:, None, :]).reshape(
-        len(grid), len(variants) * n
-    )
+    variances = _rate_variances(grid, base_model.horizon)
+    base = _win_kernel(base_model.positions_arr, base_model.priors_arr, variances)
+    # [sigma, variant, k], so each sigma's variants sit side by side
+    moved = _win_kernel(np.reshape(variants, (-1, n)), base_model.priors_arr, variances[:, None])
+    values = (moved - base[:, None, :]).reshape(len(grid), len(variants) * n)
     if len(variants) == 1:
         columns = tuple(f"delta_{k}" for k in range(n))
     else:
@@ -390,9 +391,12 @@ def sweep_priors(
     if prior_points is None:
         prior_points = simplex_grid(n, step)
     points = tuple(tuple(float(p) for p in pt) for pt in prior_points)
+    # the priors vary by row; a one-hot placeholder lets the model check the rest
+    model = ElectionModel(positions, (1.0,) + (0.0,) * (n - 1), horizon, sigma)
+    priors = np.reshape([_priors(p, n) for p in points], (-1, n))
     return SweepTable(
         axis_name="priors",
         axis_values=points,
         columns=tuple(f"p_win_{k}" for k in range(n)),
-        values=_wins_of([ElectionModel(positions, p, horizon, sigma) for p in points], n),
+        values=_win_kernel(model.positions_arr, priors, model.terminal_variance),
     )

@@ -459,6 +459,50 @@ class TestConfigRejections:
         assert f".{field}: expected" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "change, argv, named",
+        [
+            pytest.param(lambda p: p.update(sigma=1e-200), ["forecast"], "horizon_years",
+                         id="forecast-underflow"),
+            pytest.param(lambda p: p.update(sigma=1e200), ["forecast"], "horizon_years",
+                         id="forecast-overflow"),
+            pytest.param(lambda p: p.update(sigma=1e200), ["forecast", "--format", "csv"],
+                         "horizon_years", id="forecast-csv-overflow"),
+            pytest.param(lambda p: p.update(sigma=1e200), ["simulate", "--format", "json"],
+                         "horizon_years", id="simulate-json-overflow"),
+            pytest.param(
+                lambda p: p.update(sigma={"breakpoints": [1e-300], "rates": [1.0, 1e200]}),
+                ["forecast"], "horizon_years", id="forecast-piecewise-overflow",
+            ),
+            pytest.param(lambda p: p["sweep"].update(sigma_grid=[1.0, 1e200]),
+                         ["sweep", "--axis", "sigma"], "sweep.sigma_grid", id="sweep-sigma-csv"),
+            pytest.param(lambda p: p["sweep"].update(sigma_grid=[1.0, 1e200]),
+                         ["sweep", "--axis", "sigma", "--format", "json"], "sweep.sigma_grid",
+                         id="sweep-sigma-json"),
+            pytest.param(lambda p: p["sweep"].update(sigma_grid=[1.0, 1e200]),
+                         ["sweep", "--axis", "positions"], "sweep.sigma_grid",
+                         id="sweep-positions"),
+            pytest.param(lambda p: p["sweep"].update(sigma_grid=[1e-200, 1.0]),
+                         ["maxsupport"], "sweep.sigma_grid", id="maxsupport"),
+        ],
+    )
+    def test_terminal_variance_of_zero_or_inf_is_named(self, tmp_path, capsys, change, argv, named):
+        # sigma^2 * horizon under- or overflowing leaves no crossing or
+        # interval mass defined: a config error at the field that set it
+        payload = polarised_payload()
+        payload["simulation"] = {"n_paths": 2, "n_steps": 10, "seed": 1}
+        payload["sweep"] = {"position_variants": [[1.0, 2.0, 3.5]]}
+        change(payload)
+        cfg = write_config(tmp_path, payload)
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        if named == "sweep.sigma_grid":
+            assert f"error: {cfg}.sweep.sigma_grid: " in err
+            assert "position_variants" not in err
+        else:
+            assert "error: invalid model parameters: sigma " in err and named in err
+
+    @pytest.mark.parametrize(
         "block, argv, field",
         [
             ({"sweep": {"prior_grid": [[0.5, 0.5]]}}, ["sweep", "--axis", "priors"],

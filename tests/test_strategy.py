@@ -9,6 +9,7 @@ from voteflow import (
     ElectionModel,
     crossing_threshold,
     dead_zone_sigma_bound,
+    implied_sigma,
     is_dead_zone,
     max_support_curve,
     max_support_point,
@@ -24,6 +25,7 @@ from voteflow.errors import (
     NoBracket,
     NonIncreasingPositions,
     NonPositiveHorizon,
+    NonPositiveRate,
     NotInteriorCandidate,
     PriorsNotNormalized,
     RequiresThreeCandidates,
@@ -294,9 +296,8 @@ class TestSweepSigma:
             )
 
     def test_batched_rows_equal_single_model_evaluations(self):
-        # each sweep evaluates its whole grid in one batched call; every row
-        # must be exactly the one-model answer (implied_sigma compares its
-        # batched scan with one-model bisection steps for exact equality)
+        # each sweep and the peak curve evaluate their whole grid in one
+        # batched call; every row must be exactly the one-model answer
         rng = np.random.default_rng(12)
         for _ in range(30):
             model = random_model(rng, n=int(rng.integers(2, 7)))
@@ -322,6 +323,21 @@ class TestSweepSigma:
                     for p in points
                 ],
             )
+            curve = max_support_curve(model.positions, model.priors, model.horizon, grid)
+            for s, row in zip(grid, curve.values):
+                for k in range(1, model.n_candidates - 1):
+                    assert row[k] == max_support_point(model.with_schedule(s), k).pi_max
+
+    def test_row_at_the_models_own_rate_is_its_win_probabilities(self):
+        # the sweep reads the model's priors as they are; renormalising them
+        # again (as a model rebuilt at each rate would) moves this race's
+        # win probabilities by 1.1e-16
+        model = ElectionModel(
+            (0.37, 1.074, 1.554, 2.394), (0.2603, 0.1491, 0.0347, 0.5559), 1.0, 1.0
+        )
+        np.testing.assert_array_equal(
+            sweep_sigma(model, [1.0]).values[0], win_probabilities(model).win_probs
+        )
 
     def test_default_grid_resolution(self, polarised_model):
         table = sweep_sigma(polarised_model)
@@ -389,3 +405,66 @@ class TestSweepPriors:
     def test_no_default_grid_above_three(self):
         with pytest.raises(ValidationError):
             simplex_grid(4, 0.5)
+
+
+
+def polarised():
+    return ElectionModel(POLARISED_X, POLARISED_P, 1.0, 1.0)
+
+
+# one bad entry on each batch path's varying axis: (evaluation, error, the
+# part of the message that shows the entry)
+BAD_AXIS_ENTRIES = {
+    "sigma-grid-zero": (
+        lambda: sweep_sigma(polarised(), [1.0, 0.0]), NonPositiveRate, "got 0.0"
+    ),
+    "sigma-grid-nan": (
+        lambda: sweep_sigma(polarised(), [1.0, math.nan]), NonPositiveRate, "got nan"
+    ),
+    "prior-row-sum": (
+        lambda: sweep_priors(POLARISED_X, 1.0, 1.0, [POLARISED_P, (0.5, 0.3, 0.3)]),
+        PriorsNotNormalized,
+        "sum to 1.1,",
+    ),
+    "prior-row-negative": (
+        lambda: sweep_priors(POLARISED_X, 1.0, 1.0, [POLARISED_P, (0.5, -0.1, 0.6)]),
+        PriorsNotNormalized,
+        "(0.5, -0.1, 0.6)",
+    ),
+    "prior-row-short": (
+        lambda: sweep_priors(POLARISED_X, 1.0, 1.0, [POLARISED_P, (0.5, 0.5)]),
+        PriorsNotNormalized,
+        "2 priors for 3",
+    ),
+    "variant-inf": (
+        lambda: sweep_positions(polarised(), [POLARISED_X, (1.0, 2.0, math.inf)], [1.0]),
+        NonIncreasingPositions,
+        "(1.0, 2.0, inf)",
+    ),
+    "variant-decreasing": (
+        lambda: sweep_positions(polarised(), [POLARISED_X, (3.0, 2.0, 1.0)], [1.0]),
+        NonIncreasingPositions,
+        "(3.0, 2.0, 1.0)",
+    ),
+    "curve-rate-negative": (
+        lambda: max_support_curve(POLARISED_X, POLARISED_P, 1.0, [1.0, -1.0]),
+        NonPositiveRate,
+        "got -1.0",
+    ),
+    "implied-priors": (
+        lambda: implied_sigma(POLARISED_X, (0.4, 0.4, 0.4), 1.0, 1, 0.2),
+        PriorsNotNormalized,
+        "sum to 1.2000000000000002,",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "evaluate, error, shown", BAD_AXIS_ENTRIES.values(), ids=BAD_AXIS_ENTRIES.keys()
+)
+def test_batch_paths_reject_a_bad_axis_entry(evaluate, error, shown):
+    # the varying axis is checked entry by entry by the rule a model applies
+    # to it: the same error class, with the rejected entry in the message
+    with pytest.raises(error) as caught:
+        evaluate()
+    assert shown in str(caught.value)
