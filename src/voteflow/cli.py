@@ -101,6 +101,13 @@ def _field(context: str, kind=ValidationError):
         raise ConfigError(f"{context}: {exc}") from exc
 
 
+def _rate_grid_field(args, cfg: ScenarioConfig):
+    """``_field`` for a rejected rate grid: sweep.sigma_grid, or horizon_years
+    when the default grid's terminal variances under- or overflow."""
+    field = "sweep.sigma_grid" if cfg.sigma_grid is not None else "horizon_years"
+    return _field(f"{args.config}.{field}", NonPositiveRate)
+
+
 def _is_number(value) -> bool:
     """Whether a parsed JSON value is a number (not a bool) that is finite
     as a float. NaN and Infinity tokens are parsed as strings, and 1e400 as
@@ -417,7 +424,7 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
     meta = {"axis": args.axis}
     if args.axis == "sigma":
-        with _field(f"{args.config}.sweep.sigma_grid", NonPositiveRate):
+        with _rate_grid_field(args, cfg):
             table = sweep_sigma(model, cfg.sigma_grid)
         axis_columns = ["sigma"]
     elif args.axis == "priors":
@@ -439,7 +446,7 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
             raise MissingSweepBlock("position sweep needs sweep.position_variants in the config")
         with (
             _field(f"{args.config}.sweep.position_variants", NonIncreasingPositions),
-            _field(f"{args.config}.sweep.sigma_grid", NonPositiveRate),
+            _rate_grid_field(args, cfg),
         ):
             table = sweep_positions(model, cfg.position_variants, cfg.sigma_grid)
         axis_columns = ["sigma"]
@@ -523,7 +530,7 @@ def cmd_deadzone(args, cfg: ScenarioConfig) -> Report:
 
 def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
-    with _field(f"{args.config}.sweep.sigma_grid", NonPositiveRate):
+    with _rate_grid_field(args, cfg):
         table = max_support_curve(cfg.positions, cfg.priors, cfg.horizon_years, cfg.sigma_grid)
     points = {
         cfg.names[r.candidate]: {"y_star": r.y_star, "pi_max": r.pi_max, "residual": r.residual}

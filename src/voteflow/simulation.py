@@ -79,9 +79,11 @@ class MonteCarloOutcome:
     """Terminal-ordering tally from exact terminal draws.
 
     ``ordering_counts`` partition the paths (integer counts sum to
-    n_paths exactly); frequencies and binomial standard errors are derived
-    from them. Each path is ranked by the candidates' log posterior weights,
-    which do not underflow, so trailing candidates are ranked too.
+    n_paths exactly); its keys, the observed orderings only, come in
+    ascending lexicographic order. Frequencies and binomial standard errors
+    are derived from the counts. Each path is ranked by the candidates' log
+    posterior weights, which do not underflow, so trailing candidates are
+    ranked too.
     ``tie_count`` records paths on which two finite weights were exactly
     equal (resolved toward the lower index); zero-prior candidates, all at
     -inf, are ranked last by index and never count as a tie.
@@ -237,12 +239,15 @@ def monte_carlo_win_probabilities(
     # -inf - -inf is NaN, so zero-prior candidates never compare equal here
     tie_count = int(np.sum(np.any(np.diff(sorted_weight, axis=1) == 0.0, axis=1)))
 
-    counts: dict[tuple[int, ...], int] = {}
-    rows, row_counts = np.unique(order, axis=0, return_counts=True)
-    for row, c in zip(rows, row_counts):
-        counts[tuple(int(i) for i in row)] = int(c)
-
+    # one lexicographic sort of the rank rows, narrowest type for speed and no
+    # per-permutation code to overflow; a count is the gap to the next start
     n = model.n_candidates
+    ranks = order.astype(np.min_scalar_type(n - 1))
+    ranks = ranks[np.lexsort(ranks.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, np.any(ranks[1:] != ranks[:-1], axis=1)])
+    row_counts = np.diff(np.r_[starts, n_paths]).tolist()
+    counts = dict(zip(map(tuple, ranks[starts].tolist()), row_counts))
+
     win_counts = np.bincount(order[:, 0], minlength=n)
     win_freqs = win_counts / n_paths
     win_se = np.sqrt(win_freqs * (1.0 - win_freqs) / n_paths)

@@ -503,6 +503,31 @@ class TestConfigRejections:
             assert "error: invalid model parameters: sigma " in err and named in err
 
     @pytest.mark.parametrize(
+        "sweep, argv",
+        [
+            (None, ["sweep", "--axis", "sigma"]),
+            (None, ["maxsupport"]),
+            ({"position_variants": [[1.0, 2.0, 3.5]]}, ["sweep", "--axis", "positions"]),
+        ],
+        ids=["sweep-sigma", "maxsupport", "sweep-positions"],
+    )
+    def test_default_rate_grid_rejection_names_horizon(self, tmp_path, capsys, sweep, argv):
+        # the model's own variance 5e-324 is valid, but the default grid's
+        # rates underflow it to 0: the config holds no sweep.sigma_grid to blame
+        payload = polarised_payload()
+        payload["horizon_years"] = 5e-324
+        if sweep is not None:
+            payload["sweep"] = sweep
+        cfg = write_config(tmp_path, payload)
+        assert main(["forecast", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {cfg}.horizon_years: " in err
+        assert "sigma_grid" not in err
+
+    @pytest.mark.parametrize(
         "block, argv, field",
         [
             ({"sweep": {"prior_grid": [[0.5, 0.5]]}}, ["sweep", "--axis", "priors"],

@@ -198,6 +198,37 @@ class TestMonteCarloTally:
         mc = monte_carlo_win_probabilities(polarised_low_info, 200_000, seed=19)
         assert mc.win_freqs[1] == 0.0
 
+    @pytest.mark.parametrize("race", ["polarised_model", "polarised_low_info", "zero_prior"])
+    def test_keys_sorted_and_leaders_match_win_counts(self, request, race):
+        if race == "zero_prior":
+            model = ElectionModel((0.0, 1.0, 2.0, 3.0), (0.3, 0.2, 0.0, 0.5), 1.0, 1.0)
+        else:
+            model = request.getfixturevalue(race)
+        n = 20_000
+        mc = monte_carlo_win_probabilities(model, n, seed=23)
+        # ascending lexicographic key order, pinned for callers that iterate it
+        keys = list(mc.ordering_counts)
+        assert keys == sorted(keys)
+        # the ordering tally and the separate leader count agree exactly
+        leaders = np.zeros(model.n_candidates, dtype=np.int64)
+        for key, c in mc.ordering_counts.items():
+            leaders[key[0]] += c
+        np.testing.assert_array_equal(leaders / n, mc.win_freqs)
+
+    @pytest.mark.parametrize("n_candidates", [21, 257])
+    def test_wide_races_tally_full_permutations(self, n_candidates):
+        # 21: a Lehmer rank would overflow int64; 257: past uint8 rank columns
+        zero = n_candidates // 2
+        priors = [0.0 if j == zero else 1.0 / (n_candidates - 1) for j in range(n_candidates)]
+        model = ElectionModel(tuple(float(j) for j in range(n_candidates)), tuple(priors), 1.0, 0.5)
+        n = 3_000
+        mc = monte_carlo_win_probabilities(model, n, seed=24)
+        assert sum(mc.ordering_counts.values()) == n
+        for key in mc.ordering_counts:
+            assert sorted(key) == list(range(n_candidates))
+            assert key[0] != zero
+        assert mc.win_freqs[zero] == 0.0
+
     def test_two_candidate_frequency_near_paper_value(self):
         model = ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0 / 52.0, 1.2)
         n = 1_000_000
