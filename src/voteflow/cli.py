@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
@@ -304,21 +305,32 @@ def _finite_or_none(x: float):
 
 def _emit(report: Report, args, stdout: TextIO) -> None:
     """Write the report in ``args.format`` to ``args.out``, or to stdout,
-    as it is generated: the whole text is never held in memory."""
+    as it is generated: the whole text is never held in memory. If writing
+    fails part-way, the ``--out`` file is removed before the error goes on;
+    a value JSON cannot hold (NaN, inf) is a ``NumericalError``."""
     to_file = args.out is not None
     sink = open(args.out, "w", encoding="utf-8", newline="\n") if to_file else nullcontext(stdout)
-    with sink as fh:
-        if args.format == "csv":
-            fh.writelines(f"# {key}={value}\n" for key, value in report.meta.items())
-            fh.write(",".join(report.header) + "\n")
-            fh.writelines(
-                ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-                for row in report.rows
-            )
-        else:
-            # arrays are listed one at a time, as the encoder reaches them
-            json.dump(report.json(), fh, indent=2, allow_nan=False, default=np.ndarray.tolist)
-            fh.write("\n")
+    try:
+        with sink as fh:
+            if args.format == "csv":
+                fh.writelines(f"# {key}={value}\n" for key, value in report.meta.items())
+                fh.write(",".join(report.header) + "\n")
+                fh.writelines(
+                    ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                    for row in report.rows
+                )
+            else:
+                obj = report.json()
+                try:
+                    # arrays are listed one at a time, as the encoder reaches them
+                    json.dump(obj, fh, indent=2, allow_nan=False, default=np.ndarray.tolist)
+                except ValueError as exc:
+                    raise NumericalError(f"{args.command} report: {exc}") from exc
+                fh.write("\n")
+    except BaseException:
+        if to_file:
+            os.remove(args.out)
+        raise
     if to_file:
         print(f"wrote {args.out}", file=sys.stderr)
 

@@ -16,6 +16,7 @@ rate, dividing a threshold by the rate recovers the raw-process value.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -119,7 +120,7 @@ def crossing_threshold(model: ElectionModel, k: int, j: int) -> CrossingThreshol
     """Threshold in accumulated-signal space where k's and j's election-day
     support rates are equal.
 
-        value = [log(p_j / p_k) + (x_k^2 - x_j^2) V / 2] / (x_k - x_j)
+        value = (log p_j - log p_k) / (x_k - x_j) + (x_k + x_j) V / 2
 
     with V the terminal accumulated squared rate. For a constant rate this
     is rate * (raw-process threshold). Support above the threshold favours
@@ -130,23 +131,9 @@ def crossing_threshold(model: ElectionModel, k: int, j: int) -> CrossingThreshol
     n = model.n_candidates
     if k == j or not (0 <= k < n) or not (0 <= j < n):
         raise InvalidPermutation(f"need distinct candidate indices in [0, {n}), got ({k}, {j})")
-    v = model.terminal_variance
-    xk, xj = model.positions[k], model.positions[j]
-    pk, pj = model.priors[k], model.priors[j]
-    if pk == 0.0 and pj == 0.0:
-        value = math.nan
-    else:
-        log_ratio = _log_ratio(pj, pk)
-        value = (log_ratio + 0.5 * (xk * xk - xj * xj) * v) / (xk - xj)
-    return CrossingThreshold(first=k, second=j, value=value)
-
-
-def _log_ratio(num: float, den: float) -> float:
-    if num == 0.0:
-        return -math.inf
-    if den == 0.0:
-        return math.inf
-    return math.log(num / den)
+    pair = [min(k, j), max(k, j)]
+    table = _crossings(model.positions_arr[pair], model.priors_arr[pair], model.terminal_variance)
+    return CrossingThreshold(first=k, second=j, value=float(table[0, 1]))
 
 
 def ordering_partition(model: ElectionModel) -> OrderingPartition:
@@ -161,29 +148,18 @@ def ordering_partition(model: ElectionModel) -> OrderingPartition:
     Adjacent cells with identical rankings are merged; exactly coincident
     thresholds count into ``tie_count`` and are logged at DEBUG level.
     """
-    n = model.n_candidates
-    priors = model.priors
-    values = []
-    for k in range(n):
-        for j in range(k + 1, n):
-            if priors[k] == 0.0 or priors[j] == 0.0:
-                continue  # no finite crossing; the zero-prior candidate never leads
-            values.append(crossing_threshold(model, k, j).value)
-    finite = sorted(v for v in values if math.isfinite(v))
-
-    boundaries: list[float] = []
-    tie_count = 0
-    for v in finite:
-        if boundaries and v == boundaries[-1]:
-            tie_count += 1
-        else:
-            boundaries.append(v)
+    v = model.terminal_variance
+    table = _crossings(model.positions_arr, model.priors_arr, v)
+    finite = list(filter(math.isfinite, table.ravel().tolist()))  # a zero prior crosses at +-inf
+    boundaries = sorted(set(finite))
+    tie_count = len(finite) - len(boundaries)
     if tie_count:
         _log.debug("%d coincident crossing threshold(s); zero-width cells merged", tie_count)
 
     edges = [-math.inf, *boundaries, math.inf]
-    probes = [_probe_point(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    score = _log_weight(model, probes, model.terminal_variance)
+    mids = [0.5 * (lo + hi) for lo, hi in zip(boundaries, boundaries[1:])]
+    probes = [boundaries[0] - 1.0, *mids, boundaries[-1] + 1.0] if boundaries else [0.0]
+    score = _log_weight(model, probes, v)
     rankings = np.argsort(-score, axis=-1, kind="stable").tolist()
     cells: list[PartitionCell] = []
     for lo, hi, ordering in zip(edges, edges[1:], map(tuple, rankings)):
@@ -193,16 +169,6 @@ def ordering_partition(model: ElectionModel) -> OrderingPartition:
             cells.append(PartitionCell(lo, hi, ordering))
     kept = tuple(c.upper for c in cells if math.isfinite(c.upper))
     return OrderingPartition(boundaries=kept, cells=tuple(cells), tie_count=tie_count)
-
-
-def _probe_point(lo: float, hi: float) -> float:
-    if math.isinf(lo) and math.isinf(hi):
-        return 0.0
-    if math.isinf(lo):
-        return hi - 1.0
-    if math.isinf(hi):
-        return lo + 1.0
-    return 0.5 * (lo + hi)
 
 
 def interval_probability(model: ElectionModel, a: float, b: float) -> float:
@@ -250,31 +216,46 @@ def win_probabilities(model: ElectionModel) -> OutcomeProbabilities:
     return OutcomeProbabilities(model=model, win_probs=win)
 
 
-# crossing_threshold's log-odds term and interval_probability's CDF difference,
-# lifted elementwise: numpy's log can differ from math.log in the last bit, and
-# the lead intervals must agree exactly with crossing_threshold's values and
-# ordering_partition's cells
-_log_ratios = np.frompyfunc(_log_ratio, 2, 1)
+# interval_probability's CDF difference, lifted elementwise
 _cdf_diffs = np.frompyfunc(normal_cdf_diff, 2, 1)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _crossings(x: np.ndarray, p: np.ndarray, v) -> np.ndarray:
+    """Crossing thresholds of a batch of races with float positions x and
+    priors p [..., N] and terminal accumulated variances v [..., 1] (a float
+    for one race), as a table [..., N, N]: entry [a, b] with a < b is
+
+        (log p_b - log p_a) / (x_a - x_b) + (x_a + x_b) V / 2,
+
+    +-inf where one of the pair's priors is zero and NaN where both are;
+    every other entry is NaN. This is the only place a crossing is formed."""
+    x_a, x_b = x[..., :, None], x[..., None, :]
+    log_p = np.log(p)
+    half_v = np.asarray(v * 0.5)[..., None]
+    table = (log_p[..., None, :] - log_p[..., :, None]) / (x_a - x_b) + (x_a + x_b) * half_v
+    table *= _pair_mask(x.shape[-1])
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_mask(n: int) -> np.ndarray:
+    """[n, n] factors that keep the entries [a, b] with a < b exactly (1)
+    and turn the rest to NaN."""
+    mask = np.where(np.arange(n)[:, None] < np.arange(n), 1.0, np.nan)
+    mask.flags.writeable = False
+    return mask
+
+
 def _lead_intervals(x: np.ndarray, p: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
-    """Lead intervals (L_k, U_k) of a batch of races with float positions x
-    and priors p [..., N] and terminal accumulated variances v [..., 1] (a
-    float for one race), broadcast to lower and upper ends [..., N]: k's
-    largest crossing threshold with a rival to its left (-inf if none) and
-    its smallest with one to its right (+inf if none). Candidate k ranks
-    first exactly on (L_k, U_k)."""
-    n = x.shape[-1]
-    pair = np.arange(n)[:, None] < np.arange(n)
-    a, b = np.nonzero(pair)  # crossing_threshold(a, b) for each pair a < b
-    xa, xb = x[..., a], x[..., b]
-    log_ratio = _log_ratios(p[..., b], p[..., a]).astype(np.float64)
-    cross = (log_ratio + 0.5 * (xa * xa - xb * xb) * v) / (xa - xb)
-    table = np.full(cross.shape[:-1] + (n, n), np.nan)
-    table[..., a, b] = cross
-    lower = np.where(pair, table, -np.inf).max(axis=-2)  # column k: rivals left of k
-    upper = np.where(pair, table, np.inf).min(axis=-1)  # row k: rivals right of k
+    """Lead intervals (L_k, U_k) of a batch of races, shaped as for
+    ``_crossings``, with lower and upper ends [..., N]: k's largest crossing
+    threshold with a rival to its left (-inf if none) and its smallest with
+    one to its right (+inf if none). Candidate k ranks first exactly on
+    (L_k, U_k). A pair with two zero priors (NaN) never binds."""
+    table = _crossings(x, p, v)
+    lower = np.fmax.reduce(table, axis=-2, initial=-np.inf)  # column k: rivals left of k
+    upper = np.fmin.reduce(table, axis=-1, initial=np.inf)  # row k: rivals right of k
     return lower, upper
 
 

@@ -158,12 +158,12 @@ def dead_zone_sigma_bound(
     The centre candidate of a three-candidate race has identically zero win
     probability exactly when its lead interval is empty: the (0, 1) crossing
     lies at or above the (1, 2) crossing. With gaps g01, g12, g02 between
-    the positions, the crossings are log(p0/p1)/g01 + (x0 + x1) V / 2 and
-    log(p1/p2)/g12 + (x1 + x2) V / 2 with V = sigma^2 T, so the lockout
-    condition is linear in sigma^2:
+    the positions and l_k = log p_k, the crossings are (l0 - l1)/g01 +
+    (x0 + x1) V / 2 and (l1 - l2)/g12 + (x1 + x2) V / 2 with V = sigma^2 T,
+    so the lockout condition is linear in sigma^2:
 
         sigma^2 <= 2 * m / (T * g01 * g02 * g12),
-        m = g12 * log(p0/p1) - g01 * log(p1/p2).
+        m = g12 * (l0 - l1) - g01 * (l1 - l2).
 
     Returns the square root of the right-hand side, or None when m <= 0 (no
     positive rate creates a dead zone). Inputs are validated as for
@@ -177,9 +177,9 @@ def dead_zone_sigma_bound(
     if any(p <= 0.0 for p in model.priors):
         raise ZeroPrior(f"all priors must be > 0, got {tuple(priors)}")
     x0, x1, x2 = model.positions
-    p0, p1, p2 = model.priors
+    l0, l1, l2 = model.log_priors_arr.tolist()
     g01, g02, g12 = x1 - x0, x2 - x0, x2 - x1
-    m = g12 * math.log(p0 / p1) - g01 * math.log(p1 / p2)
+    m = g12 * (l0 - l1) - g01 * (l1 - l2)
     if m <= 0.0:
         return None
     return math.sqrt(2.0 * m / (model.horizon * g01 * g02 * g12))

@@ -21,6 +21,7 @@ from voteflow import (
     win_probabilities,
 )
 from voteflow.cli import Report, _emit, main
+from voteflow.errors import NumericalError
 
 from conftest import POLARISED_P, POLARISED_X
 
@@ -305,6 +306,25 @@ class TestDeadzoneAndMaxSupport:
         assert obj["max_support"]["c1"] == [1.0, 1.0, 1.0]
         assert obj["at_config_sigma"]["c3"]["residual"] < 1e-10
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_subnormal_centre_prior_gives_a_finite_bound(self, tmp_path, capsys, fmt):
+        # p0/p1 = 0.5/5e-324 overflows; the bound comes from log differences
+        payload = polarised_payload()
+        for cand, prior in zip(payload["candidates"], (0.5, 5e-324, 0.5)):
+            cand["prior"] = prior
+        out = tmp_path / f"deadzone.{fmt}"
+        argv = ["deadzone", "--config", write_config(tmp_path, payload), "--format", fmt]
+        assert main([*argv, "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        if fmt == "json":
+            bound = json.loads(text)["dead_zones"]["centre"]["sigma_bound"]
+        else:
+            row = next(r for r in text.splitlines() if r.startswith("centre,"))
+            bound = float(row.split(",")[2])
+        # unit gaps and T = 1: sigma^2 = m = 2 (log 0.5 - log 5e-324)
+        expected = math.sqrt(2.0 * (math.log(0.5) - math.log(5e-324)))
+        assert bound == pytest.approx(expected, rel=1e-12)
+
 
 class TestAggregate:
     def test_identity_pythagoras(self, tmp_path, capsys):
@@ -571,6 +591,43 @@ def test_emit_streams_a_large_report(tmp_path, fmt):
         tracemalloc.stop()
     assert out.stat().st_size > 3_000_000
     assert peak < out.stat().st_size / 10
+
+
+@pytest.mark.parametrize(
+    "fmt, error, code",
+    [("json", None, 4), ("csv", NumericalError, 4), ("csv", RuntimeError, None)],
+    ids=["json-nan", "csv-numerical", "csv-unexpected"],
+)
+def test_failed_report_leaves_no_out_file(tmp_path, capsys, monkeypatch, fmt, error, code):
+    # each report fails after about 200 kB of it is written: the partial
+    # --out file goes, and the error keeps its exit code (a value JSON
+    # cannot hold is a numerical error naming the subcommand)
+    def rows():
+        yield from ((float(i), 0.5) for i in range(20_000))
+        raise error("row 20000 failed")
+
+    def failing(args, cfg):
+        return Report(
+            json=lambda: {"head": list(range(20_000)), "tail": math.nan},
+            meta={},
+            header=["a", "b"],
+            rows=rows(),
+        )
+
+    monkeypatch.setattr(voteflow.cli, "cmd_forecast", failing)
+    out = tmp_path / f"report.{fmt}"
+    argv = ["forecast", "--config", write_config(tmp_path, POLARISED_CONFIG), "--format", fmt,
+            "--out", str(out)]
+    if code is None:
+        with pytest.raises(error):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "wrote" not in err
+    if fmt == "json":
+        assert "error: forecast report: Out of range float values" in err
 
 
 @pytest.mark.parametrize(

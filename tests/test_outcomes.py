@@ -12,6 +12,7 @@ from voteflow import (
     ElectionModel,
     crossing_threshold,
     interval_probability,
+    is_dead_zone,
     ordering_partition,
     ordering_probability,
     posterior_support,
@@ -56,7 +57,7 @@ class TestCrossingThreshold:
             k, j = rng.choice(n, size=2, replace=False)
             a = crossing_threshold(model, int(k), int(j)).value
             b = crossing_threshold(model, int(j), int(k)).value
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+            assert a == b
 
     def test_zero_prior_gives_infinite_threshold(self):
         # a zero-prior candidate on the right can never overtake: crossing at
@@ -283,6 +284,23 @@ class TestWinProbabilities:
         model = ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0 / 52.0, 0.5)
         probs = win_probabilities(model).win_probs
         assert probs[0] == pytest.approx(0.9981, abs=2e-4)
+
+    @pytest.mark.parametrize(
+        "positions, crossings",
+        [((0.0, 40.0, 80.0), (20.0, 60.0)), ((1e200, 2e200, 3e200), (1.5e200, 2.5e200))],
+        ids=["gaps-40", "gaps-1e200"],
+    )
+    def test_gaps_far_beyond_the_noise_give_the_priors(self, positions, crossings):
+        # each candidate's signal law sits deep inside its own lead interval,
+        # bounded near the midpoints, whatever the scale of the positions
+        # (x^2 V would overflow at 1e200)
+        model = ElectionModel(positions, POLARISED_P, 1.0, 1.0)
+        np.testing.assert_allclose(
+            win_probabilities(model).win_probs, model.priors_arr, rtol=0.0, atol=1e-15
+        )
+        assert not any(is_dead_zone(model, k).is_dead for k in range(3))
+        got = (crossing_threshold(model, 0, 1).value, crossing_threshold(model, 1, 2).value)
+        assert got == pytest.approx(crossings, rel=1e-3)
 
     def test_reflection_symmetry(self):
         model = ElectionModel((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3), 1.0, 1.0)

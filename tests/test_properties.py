@@ -18,7 +18,6 @@ from voteflow import (
     ElectionModel,
     InfoSchedule,
     condition_on_history,
-    crossing_threshold,
     interval_probability,
     is_dead_zone,
     ordering_partition,
@@ -99,20 +98,35 @@ def test_joint_scale_of_positions_and_rates_leaves_win_probabilities_unchanged(m
     )
 
 
+def crossing(model, a, b):
+    """Test-local crossing of candidates a < b in the textbook form
+    [log(p_b/p_a) + (x_a^2 - x_b^2) V / 2] / (x_a - x_b): +inf when only p_b
+    is zero, -inf when only p_a is, NaN when both are."""
+    xa, xb = model.positions[a], model.positions[b]
+    pa, pb = model.priors[a], model.priors[b]
+    if pb == 0.0:
+        return math.nan if pa == 0.0 else math.inf
+    if pa == 0.0:
+        return -math.inf
+    v = model.terminal_variance
+    return (math.log(pb / pa) + 0.5 * (xa * xa - xb * xb) * v) / (xa - xb)
+
+
 def locked_out(model, k):
     """k leads for no signal: its prior is zero, or its largest crossing with
     a rival on the left is not below its smallest with one on the right."""
     n = model.n_candidates
-    lower = max((crossing_threshold(model, j, k).value for j in range(k)), default=-math.inf)
-    upper = min((crossing_threshold(model, k, j).value for j in range(k + 1, n)), default=math.inf)
+    lower = max((crossing(model, j, k) for j in range(k)), default=-math.inf)
+    upper = min((crossing(model, k, j) for j in range(k + 1, n)), default=math.inf)
     return model.priors[k] == 0.0 or not (lower < upper)
 
 
 @PROPERTY_SETTINGS
 @given(races())
 def test_zero_exactly_where_locked_out(model):
-    # lockout rebuilt here from the scalar crossings, independently of the
-    # lead intervals that the kernel and is_dead_zone share
+    # lockout rebuilt here from the test's own scalar crossings, independently
+    # of the crossing table that the kernel, is_dead_zone and
+    # crossing_threshold share
     locked = [locked_out(model, k) for k in range(model.n_candidates)]
     assert list(win_probabilities(model).win_probs == 0.0) == locked
     assert [is_dead_zone(model, k).is_dead for k in range(model.n_candidates)] == locked
