@@ -11,9 +11,9 @@ recover sigma^2 as a quadratic-variation ratio:
 Implied route: invert the closed-form win probability for the rate that
 reproduces a target probability. Win probabilities need not be monotone in
 the rate when there are more than two candidates, so the inversion scans a
-grid, refines every sign change by bisection, and returns all solutions
-(including the edges of exact plateaus, e.g. the dead-zone boundary when
-the target is zero).
+grid, refines every bracket of the target in one batched bisection, and
+returns all solutions (including the edges of exact plateaus, e.g. the
+dead-zone boundary when the target is zero).
 """
 
 from __future__ import annotations
@@ -152,12 +152,17 @@ def implied_sigma(
 ) -> tuple[float, ...]:
     """All constant rates at which the candidate's win probability hits target.
 
-    Scans a geometric grid over [sigma_min, sigma_max], refines every sign
-    change of win_prob(sigma) - target by bisection to ``tol``, and also
-    returns the interior edge(s) of runs where the probability equals the
-    target exactly (for a zero target inside a dead zone this is the
-    supremum solution, the dead-zone rate bound). Raises Unattainable when
-    the scan never meets or crosses the target.
+    Scans a geometric grid over [sigma_min, sigma_max]. Each pair of
+    neighbouring scan points on different sides of the target (above, below,
+    or exactly on it) is a bracket: a plateau edge when one end hits the
+    target exactly, else a sign change. One bisection refines all brackets
+    together to ``tol``, one kernel call over every midpoint per step. A
+    plateau edge returns its last exact hit: the interior edge of a run
+    where the probability equals the target (for a zero target inside a
+    dead zone this is the supremum solution, the dead-zone rate bound). A
+    sign change returns its final midpoint, or a midpoint that hits the
+    target exactly. Raises Unattainable when the scan never meets or
+    crosses the target.
     """
     if not (0.0 <= target <= 1.0):
         raise ValidationError(f"target probability must lie in [0, 1], got {target}")
@@ -173,31 +178,25 @@ def implied_sigma(
 
     grid = np.geomspace(sigma_min, sigma_max, scan_points)
     gap = win(grid) - target
-    zero = gap == 0.0
-
-    solutions: list[float] = []
-    i = 0
-    while i < len(grid):
-        if zero[i]:
-            # maximal run of exact hits; its interior edges against a nonzero
-            # neighbour are the meaningful solutions (e.g. the dead-zone
-            # supremum when the target is 0)
-            j = i
-            while j + 1 < len(grid) and zero[j + 1]:
-                j += 1
-            if i > 0:
-                solutions.append(_plateau_edge(win, target, float(grid[i]), float(grid[i - 1]), tol))
-            if j + 1 < len(grid):
-                solutions.append(_plateau_edge(win, target, float(grid[j]), float(grid[j + 1]), tol))
-            if i == 0 and j + 1 == len(grid):
-                solutions.extend([float(grid[i]), float(grid[j])])  # target met everywhere
-            i = j + 1
-        else:
-            if i + 1 < len(grid) and not zero[i + 1] and gap[i] * gap[i + 1] < 0.0:
-                solutions.append(
-                    _bisect_crossing(win, target, float(grid[i]), float(grid[i + 1]), tol)
-                )
-            i += 1
+    side = np.sign(gap)
+    if not side.any():
+        solutions = [float(grid[0]), float(grid[-1])]  # target met everywhere
+    else:
+        # a bracket holds its exact-hit end if it has one, else its left end
+        k = np.flatnonzero(side[:-1] != side[1:])
+        held_at = np.where(side[k + 1] == 0, k + 1, k)
+        held, far, held_side = grid[held_at], grid[2 * k + 1 - held_at], side[held_at]
+        for _ in range(200):
+            live = np.abs(far - held) > tol
+            if not live.any():
+                break
+            mid = 0.5 * (held[live] + far[live])
+            mid_side = np.sign(win(mid) - target)
+            on_held = mid_side == held_side[live]
+            # an exact hit also collapses a sign-change bracket onto itself
+            held[live] = np.where(on_held | (mid_side == 0), mid, held[live])
+            far[live] = np.where(on_held, far[live], mid)
+        solutions = np.where(held_side == 0, held, 0.5 * (held + far)).tolist()
 
     if not solutions:
         raise Unattainable(
@@ -211,32 +210,3 @@ def implied_sigma(
         if s - deduped[-1] > 10.0 * tol:
             deduped.append(s)
     return tuple(deduped)
-
-
-def _bisect_crossing(win, target: float, lo: float, hi: float, tol: float) -> float:
-    f_lo = win([lo])[0] - target
-    for _ in range(200):
-        if abs(hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = win([mid])[0] - target
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _plateau_edge(win, target: float, inside: float, outside: float, tol: float) -> float:
-    """Boundary between {win == target exactly} and {win != target}."""
-    for _ in range(200):
-        if abs(outside - inside) <= tol:
-            break
-        mid = 0.5 * (inside + outside)
-        if win([mid])[0] == target:
-            inside = mid
-        else:
-            outside = mid
-    return inside

@@ -206,9 +206,9 @@ class ElectionModel:
         horizon = float(self.horizon)
         if not (horizon > 0.0) or not math.isfinite(horizon):
             raise NonPositiveHorizon(f"horizon must be finite and > 0, got {horizon}")
-        _terminal_variance(schedule, horizon)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "_variance", _terminal_variance(schedule, horizon))
 
     @property
     def n_candidates(self) -> int:
@@ -238,8 +238,9 @@ class ElectionModel:
 
     @property
     def terminal_variance(self) -> float:
-        """V(0, horizon), the election-day accumulated squared rate."""
-        return _terminal_variance(self.schedule, self.horizon)
+        """V(0, horizon), the election-day accumulated squared rate; checked
+        and computed once, at construction."""
+        return self._variance
 
     def with_schedule(self, schedule: ScheduleLike) -> "ElectionModel":
         return ElectionModel(self.positions, self.priors, self.horizon, _as_schedule(schedule))

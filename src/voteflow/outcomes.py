@@ -226,14 +226,18 @@ def _crossings(x: np.ndarray, p: np.ndarray, v) -> np.ndarray:
     priors p [..., N] and terminal accumulated variances v [..., 1] (a float
     for one race), as a table [..., N, N]: entry [a, b] with a < b is
 
-        (log p_b - log p_a) / (x_a - x_b) + (x_a + x_b) V / 2,
+        (log p_b - log p_a) / (x_a - x_b) + (x_a / 2 + x_b / 2) V,
 
     +-inf where one of the pair's priors is zero and NaN where both are;
-    every other entry is NaN. This is the only place a crossing is formed."""
+    every other entry is NaN. Positions are halved before they are added, so
+    the mean term stays finite up to the float maximum. This is the only
+    place a crossing is formed."""
     x_a, x_b = x[..., :, None], x[..., None, :]
+    half_x = 0.5 * x
+    mean_x = half_x[..., :, None] + half_x[..., None, :]
     log_p = np.log(p)
-    half_v = np.asarray(v * 0.5)[..., None]
-    table = (log_p[..., None, :] - log_p[..., :, None]) / (x_a - x_b) + (x_a + x_b) * half_v
+    v = np.asarray(v)[..., None]
+    table = (log_p[..., None, :] - log_p[..., :, None]) / (x_a - x_b) + mean_x * v
     table *= _pair_mask(x.shape[-1])
     return table
 

@@ -20,6 +20,7 @@ from voteflow.errors import (
     Unattainable,
     ValidationError,
 )
+from voteflow.outcomes import _win_kernel
 
 from conftest import POLARISED_P, POLARISED_X
 
@@ -166,6 +167,32 @@ class TestImpliedSigma:
         for s in solutions:
             m = ElectionModel(POLARISED_X, POLARISED_P, 1.0, s)
             assert win_probabilities(m).win_probs[2] == pytest.approx(target, abs=1e-6)
+
+    def test_target_met_on_the_whole_scan_returns_its_ends(self):
+        # a lone candidate wins with probability 1 at every rate
+        assert implied_sigma((0.0, 1.0), (1.0, 0.0), 1.0, 0, 1.0) == (1e-4, 1e3)
+
+    def test_all_brackets_share_one_bisection(self, monkeypatch):
+        # the humped target has two brackets; each bisection step evaluates
+        # both midpoints in one kernel call, so the call count is one scan
+        # plus the steps of the slower bracket, not the sum over brackets
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _win_kernel(*args)
+
+        monkeypatch.setattr("voteflow.calibration._win_kernel", counted)
+        assert len(implied_sigma(POLARISED_X, POLARISED_P, 1.0, 2, 0.45)) == 2
+        assert len(calls) <= 25
+
+    def test_tiny_target_is_bracketed_by_the_sides_of_the_scan(self):
+        # the trailing candidate's win probability climbs from 0 through
+        # 1e-200; the product of two such gaps underflows to 0, so a bracket
+        # must come from the sides of the gaps, not the sign of their product
+        (sigma,) = implied_sigma((0.0, 1.0), (0.55, 0.45), 1.0, 1, 1e-200)
+        model = ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0, sigma)
+        assert win_probabilities(model).win_probs[1] == pytest.approx(1e-200, rel=1e-3)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValidationError):

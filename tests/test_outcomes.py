@@ -287,13 +287,17 @@ class TestWinProbabilities:
 
     @pytest.mark.parametrize(
         "positions, crossings",
-        [((0.0, 40.0, 80.0), (20.0, 60.0)), ((1e200, 2e200, 3e200), (1.5e200, 2.5e200))],
-        ids=["gaps-40", "gaps-1e200"],
+        [
+            ((0.0, 40.0, 80.0), (20.0, 60.0)),
+            ((1e200, 2e200, 3e200), (1.5e200, 2.5e200)),
+            ((1e308, 1.5e308, 1.7e308), (1.25e308, 1.6e308)),
+        ],
+        ids=["gaps-40", "gaps-1e200", "gaps-1e308"],
     )
     def test_gaps_far_beyond_the_noise_give_the_priors(self, positions, crossings):
         # each candidate's signal law sits deep inside its own lead interval,
         # bounded near the midpoints, whatever the scale of the positions
-        # (x^2 V would overflow at 1e200)
+        # (x^2 V would overflow at 1e200, and x_a + x_b near 1e308)
         model = ElectionModel(positions, POLARISED_P, 1.0, 1.0)
         np.testing.assert_allclose(
             win_probabilities(model).win_probs, model.priors_arr, rtol=0.0, atol=1e-15

@@ -2,11 +2,14 @@
 
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 11
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 13
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
-axes, simulate with and without ``--seed 7``, calibrate, and calibrate
-``--data`` on a fixed 201-row poll CSV) on each config in ``configs/``, in
-both formats, once to stdout and once to ``--out``. Each run leaves
+axes, simulate with and without ``--seed 7``, calibrate, calibrate
+``--data`` on a fixed 201-row poll CSV, and calibrate on two target
+configs: the second candidate at win probability 0 and the last at 0.45)
+on each config in ``configs/``, in both formats, once to stdout and once
+to ``--out``. The poll CSVs and target configs are written to
+``OUT_DIR/polls/``. Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
 ``stdout``, ``stderr``, ``exit_code`` and, for ``--out`` runs, the written
 ``report.<format>``. Runs use relative paths from OUT_DIR, so two checkouts'
@@ -33,6 +36,11 @@ from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
+# implied-rate targets as (candidate index, win probability): the second
+# candidate at 0 reaches a dead-zone edge where there is one, and the last
+# at 0.45 crosses a humped curve twice on the polarised configs
+TARGETS = {"second-at-0": (1, 0.0), "last-at-0.45": (-1, 0.45)}
+
 INVOCATIONS = {
     "forecast": ["forecast"],
     "deadzone": ["deadzone"],
@@ -44,7 +52,11 @@ INVOCATIONS = {
     "simulate": ["simulate"],
     "simulate-seed7": ["simulate", "--seed", "7"],
     "calibrate": ["calibrate"],
-    "calibrate-data": ["calibrate", "--data", "{polls}"],
+    "calibrate-data": ["calibrate", "--data", "polls/{stem}.csv"],
+    **{
+        f"calibrate-{label}": ["calibrate", "--config", f"polls/{{stem}}-{label}.json"]
+        for label in TARGETS
+    },
 }
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -70,11 +82,22 @@ def write_polls(config: dict, path: Path, rows: int = 201) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_targets(config: dict, stem: str, polls: Path) -> None:
+    """The config once per entry of TARGETS, with that implied-rate target."""
+    for label, (k, probability) in TARGETS.items():
+        name = config["candidates"][k]["name"]
+        target = {"candidate": name, "win_probability": probability}
+        text = json.dumps({**config, "target": target}, indent=2)
+        (polls / f"{stem}-{label}.json").write_text(text + "\n", encoding="utf-8")
+
+
 def run_one(src: Path, out_dir: Path, stem: str, name: str, fmt: str, dest: str) -> None:
     run_dir = Path(stem) / name / f"{fmt}-{dest}"
     (out_dir / run_dir).mkdir(parents=True, exist_ok=True)
-    argv = [a.replace("{polls}", f"polls/{stem}.csv") for a in INVOCATIONS[name]]
-    argv += ["--config", f"configs/{stem}.json", "--format", fmt]
+    argv = [a.format(stem=stem) for a in INVOCATIONS[name]]
+    if "--config" not in argv:
+        argv += ["--config", f"configs/{stem}.json"]
+    argv += ["--format", fmt]
     if dest == "out":
         argv += ["--out", str(run_dir / f"report.{fmt}")]
     proc = subprocess.run(
@@ -96,6 +119,7 @@ def record(src: Path, out_dir: Path) -> int:
     for stem in stems:
         config = json.loads((CONFIG_DIR / f"{stem}.json").read_text(encoding="utf-8"))
         write_polls(config, out_dir / "polls" / f"{stem}.csv")
+        write_targets(config, stem, out_dir / "polls")
     runs = [
         (stem, name, fmt, dest)
         for stem in stems
