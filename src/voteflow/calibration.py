@@ -169,6 +169,10 @@ def implied_sigma(
     n = len(positions)
     if not (0 <= candidate < n):
         raise ValidationError(f"candidate index {candidate} outside [0, {n})")
+    if scan_points < 1:
+        raise ValidationError(f"scan_points must be >= 1, got {scan_points}")
+    if not (0.0 < sigma_min <= sigma_max < math.inf):
+        raise ValidationError(f"need 0 < sigma_min <= sigma_max < inf, got {sigma_min}, {sigma_max}")
 
     model = ElectionModel(positions, priors, horizon, 1.0)
 

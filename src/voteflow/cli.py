@@ -13,6 +13,7 @@ which writes it in the chosen format, and maps exceptions to exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -663,43 +664,42 @@ EXIT_CODES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voteflow",
         description="Election outcome probabilities under a noisy-information model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # name, handler, default format, help, extra arguments. Built per call, so
-    # each handler is whatever the module's cmd_* name holds at that time.
+    # name, default format, help, extra arguments. Built once per process; ``main``
+    # looks up each handler by name as it runs, so a rebound cmd_* takes effect.
     commands = (
-        ("forecast", cmd_forecast, "json", "ordering and win probabilities", {}),
-        ("sweep", cmd_sweep, "csv", "win probabilities over a parameter grid",
+        ("forecast", "json", "ordering and win probabilities", {}),
+        ("sweep", "csv", "win probabilities over a parameter grid",
          {"--axis": {"choices": ("sigma", "priors", "positions"), "required": True}}),
-        ("simulate", cmd_simulate, "csv", "seeded sample paths of supports and win probabilities",
+        ("simulate", "csv", "seeded sample paths of supports and win probabilities",
          {"--seed": {"type": int, "default": None, "help": "override the config seed"}}),
-        ("deadzone", cmd_deadzone, "json", "dead-zone flags and the centre-candidate rate bound", {}),
-        ("maxsupport", cmd_maxsupport, "json", "peak attainable support over a rate grid", {}),
-        ("aggregate", cmd_aggregate, "json",
-         "effective rate and noise weights of correlated sources", {}),
-        ("calibrate", cmd_calibrate, "json", "historic and implied information flow rate",
+        ("deadzone", "json", "dead-zone flags and the centre-candidate rate bound", {}),
+        ("maxsupport", "json", "peak attainable support over a rate grid", {}),
+        ("aggregate", "json", "effective rate and noise weights of correlated sources", {}),
+        ("calibrate", "json", "historic and implied information flow rate",
          {"--data": {"default": None, "help": "poll CSV (t,<name1>,...,<nameN>)"}}),
     )
-    for name, handler, default_format, help_text, extra in commands:
+    for name, default_format, help_text, extra in commands:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario config JSON")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
         for flag, options in extra.items():
             p.add_argument(flag, **options)
-        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command]
     try:
-        _emit(args.func(args, load_config(args.config)), args, sys.stdout)
+        _emit(handler(args, load_config(args.config)), args, sys.stdout)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

@@ -174,9 +174,15 @@ def _terminal_variance(schedule: InfoSchedule, horizon: float) -> float:
 
 
 def _rate_variances(rates, horizon: float) -> np.ndarray:
-    """Terminal variances over a valid horizon of a grid of constant rates,
-    each rate and variance checked as ``ElectionModel`` checks them."""
-    return np.array([_terminal_variance(_as_schedule(r), horizon) for r in rates])
+    """Terminal variances ``r * r * h`` of constant rates over a valid horizon h, bit for
+    bit as ``InfoSchedule`` forms them; the first bad entry fails ``_terminal_variance``."""
+    rates = np.asarray(rates, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        variances = rates * rates * horizon
+    ok = np.isfinite(rates) & (rates > 0.0) & np.isfinite(variances) & (variances > 0.0)
+    if not ok.all():
+        _terminal_variance(_as_schedule(rates[np.argmin(ok)]), horizon)
+    return variances
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Historic rate estimation and implied-rate inversion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,28 @@ class TestImpliedSigma:
         (sigma,) = implied_sigma((0.0, 1.0), (0.55, 0.45), 1.0, 1, 1e-200)
         model = ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0, sigma)
         assert win_probabilities(model).win_probs[1] == pytest.approx(1e-200, rel=1e-3)
+
+    def test_empty_scan_rejected(self):
+        with pytest.raises(ValidationError, match="scan_points"):
+            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 0.0, scan_points=0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(math.nan, 1e3), (1e-4, math.inf), (-math.inf, 1e3), (1e-4, math.nan)],
+        ids=["min-nan", "max-inf", "min-minus-inf", "max-nan"],
+    )
+    def test_non_finite_scan_bounds_rejected(self, bounds):
+        with pytest.raises(ValidationError, match="sigma_min <= sigma_max"):
+            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 0.0, *bounds)
+
+    @pytest.mark.parametrize("sigma_min", [0.0, -1.0])
+    def test_non_positive_scan_start_rejected(self, sigma_min):
+        with pytest.raises(ValidationError, match="0 < sigma_min"):
+            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 0.0, sigma_min=sigma_min)
+
+    def test_reversed_scan_bounds_rejected(self):
+        with pytest.raises(ValidationError, match="sigma_min <= sigma_max"):
+            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 0.0, sigma_min=2.0, sigma_max=1.0)
 
     def test_invalid_target_rejected(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from voteflow import (
     simulate_paths,
     win_probabilities,
 )
-from voteflow.cli import Report, _emit, main
+from voteflow.cli import Report, _emit, build_parser, main
 from voteflow.errors import NumericalError
 
 from conftest import POLARISED_P, POLARISED_X
@@ -614,10 +615,15 @@ def test_failed_report_leaves_no_out_file(tmp_path, capsys, monkeypatch, fmt, er
             rows=rows(),
         )
 
-    monkeypatch.setattr(voteflow.cli, "cmd_forecast", failing)
     out = tmp_path / f"report.{fmt}"
     argv = ["forecast", "--config", write_config(tmp_path, POLARISED_CONFIG), "--format", fmt,
             "--out", str(out)]
+    # the parser is built by this first call and kept; main still finds the
+    # handler by name, so the patch below takes effect
+    assert main(argv) == 0
+    out.unlink()
+    capsys.readouterr()
+    monkeypatch.setattr(voteflow.cli, "cmd_forecast", failing)
     if code is None:
         with pytest.raises(error):
             main(argv)
@@ -628,6 +634,62 @@ def test_failed_report_leaves_no_out_file(tmp_path, capsys, monkeypatch, fmt, er
     assert stdout == "" and "wrote" not in err
     if fmt == "json":
         assert "error: forecast report: Out of range float values" in err
+
+
+def run_fresh_process(argv):
+    """Exit code of ``python -m voteflow.cli argv`` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(voteflow.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "voteflow.cli", *argv], capture_output=True, env=env, check=False
+    )
+    return proc.returncode
+
+
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path):
+    # one process, one parser: every subcommand in both formats, a usage
+    # error and a config error partway through, then every call again; each
+    # --out file and exit code equals a fresh process's for the same argv
+    assert build_parser() is build_parser()
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json", encoding="utf-8")
+    calls = [
+        ("forecast", "polarised_three_way"),
+        ("sweep", "--axis", "sigma", "five_candidate_peak_support"),
+        ("simulate", "polarised_low_info"),
+        ("deadzone", "polarised_three_way"),
+        ("maxsupport", "five_candidate_peak_support"),
+        ("aggregate", "correlated_sources"),
+        ("calibrate", "two_candidate_week_out"),
+    ]
+    good = [
+        [*call[:-1], "--config", str(CONFIG_DIR / f"{call[-1]}.json"), "--format", fmt,
+         "--out", str(tmp_path / f"{call[0]}.{fmt}")]
+        for call in calls for fmt in ("json", "csv")
+    ]
+    usage_error = ["sweep", "--config", str(CONFIG_DIR / "polarised_three_way.json"),
+                   "--out", str(tmp_path / "usage.csv")]
+    config_error = ["forecast", "--config", str(broken), "--out", str(tmp_path / "config.json")]
+    sequence = [*good[:5], usage_error, *good[5:10], config_error, *good[10:], *good]
+
+    def result(argv, code):
+        out = Path(argv[argv.index("--out") + 1])
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, written
+
+    def in_process(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    distinct = list(dict.fromkeys(map(tuple, sequence)))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        codes = list(pool.map(run_fresh_process, distinct))
+    fresh = {argv: result(argv, code) for argv, code in zip(distinct, codes)}
+    assert fresh[tuple(usage_error)] == (2, None) and fresh[tuple(config_error)] == (2, None)
+    for argv in sequence:
+        assert result(argv, in_process(argv)) == fresh[tuple(argv)], argv
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,9 @@ from voteflow.errors import (
     PriorsNotNormalized,
 )
 
+from voteflow.model import _rate_variances, _terminal_variance
+from voteflow.strategy import default_sigma_grid
+
 from conftest import POLARISED_P, POLARISED_X, random_model
 
 # Direct scalar evaluation of the posterior weights p_i * exp(-x_i^2 / 2)
@@ -112,6 +115,38 @@ class TestEffectiveVariance:
             parts = effective_variance(sched, t0, t1) + effective_variance(sched, t1, t2)
             assert whole == pytest.approx(parts, rel=1e-12, abs=1e-15)
             assert whole >= 0.0
+
+
+class TestRateVariances:
+    """``_rate_variances`` forms a grid's terminal variances in one array
+    operation; each must equal the constant schedule's, and a bad entry must
+    be rejected as the schedule and the model reject it."""
+
+    def test_equal_to_the_constant_schedule_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        grids = [
+            (10.0 ** rng.uniform(-150.0, 150.0, 5_000), float(10.0 ** rng.uniform(-3.0, 3.0)))
+            for _ in range(20)
+        ]
+        grids.append((np.geomspace(1e-4, 1e3, 200), 1.0 / 52.0))  # implied_sigma's scan
+        grids.append((np.asarray(default_sigma_grid()), 0.75))
+        for rates, horizon in grids:
+            want = [InfoSchedule.constant(float(r)).variance(0.0, horizon) for r in rates]
+            assert _rate_variances(rates, horizon).tolist() == want
+
+    @pytest.mark.parametrize(
+        "rates",
+        [[1.0, -2.0, 0.0], [0.5, 0.0], [1.0, math.nan], [2.0, math.inf], [1.0, 1e200, -1.0],
+         [1.0, 1e-200]],
+        ids=["negative", "zero", "nan", "inf", "variance-inf", "variance-zero"],
+    )
+    def test_first_bad_entry_keeps_the_schedule_message(self, rates):
+        with pytest.raises(NonPositiveRate) as want:
+            for r in rates:
+                _terminal_variance(InfoSchedule.constant(r), 1.0)
+        with pytest.raises(NonPositiveRate) as got:
+            _rate_variances(rates, 1.0)
+        assert str(got.value) == str(want.value)
 
 
 class TestPosterior:
