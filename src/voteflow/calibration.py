@@ -171,6 +171,8 @@ def implied_sigma(
         raise ValidationError(f"candidate index {candidate} outside [0, {n})")
     if scan_points < 1:
         raise ValidationError(f"scan_points must be >= 1, got {scan_points}")
+    if not (0.0 < tol < math.inf):
+        raise ValidationError(f"tol must be finite and > 0, got {tol}")
     if not (0.0 < sigma_min <= sigma_max < math.inf):
         raise ValidationError(f"need 0 < sigma_min <= sigma_max < inf, got {sigma_min}, {sigma_max}")
 

@@ -286,14 +286,20 @@ def load_config(path: str) -> ScenarioConfig:
 @dataclass(frozen=True)
 class Report:
     """One subcommand's output: ``json`` builds the JSON object (numpy arrays
-    allowed); ``meta``, ``header`` and ``rows`` are the CSV form. ``_emit``
-    calls ``json`` only for JSON output and iterates ``rows`` (lazy where it
-    is large) only for CSV output."""
+    allowed); ``meta``, ``header``, ``kinds`` (one ``CSV_FORMATS`` key per
+    column) and ``rows`` are the CSV form. ``_emit`` calls ``json`` only for
+    JSON output and iterates ``rows`` (lazy where it is large) only for CSV
+    output."""
 
     json: Callable[[], object]
     meta: dict
     header: Sequence[str]
+    kinds: Sequence[type]
     rows: Iterable[tuple]
+
+
+#: CSV cell format per column kind, fixed by the subcommand, not by row data
+CSV_FORMATS = {float: "%.17g", int: "%d", str: "%s"}
 
 
 def _fmt(x: float) -> str:
@@ -316,10 +322,8 @@ def _emit(report: Report, args, stdout: TextIO) -> None:
             if args.format == "csv":
                 fh.writelines(f"# {key}={value}\n" for key, value in report.meta.items())
                 fh.write(",".join(report.header) + "\n")
-                fh.writelines(
-                    ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-                    for row in report.rows
-                )
+                template = ",".join(CSV_FORMATS[kind] for kind in report.kinds) + "\n"
+                fh.writelines(template % row for row in report.rows)
             else:
                 obj = report.json()
                 try:
@@ -346,8 +350,8 @@ def _named(columns: Sequence[str], names: Sequence[str]) -> list[str]:
 def _table_rows(table: SweepTable):
     """One row of floats per axis point: the point (a prior vector spreads
     over several cells), then the table's values."""
-    for point, values in zip(table.axis_values, table.values):
-        yield (*map(float, point if isinstance(point, tuple) else (point,)), *map(float, values))
+    for point, values in zip(table.axis_values, table.values.tolist()):
+        yield (*(point if isinstance(point, tuple) else (point,)), *values)
 
 
 def _schedule_json(schedule: InfoSchedule):
@@ -426,10 +430,9 @@ def cmd_forecast(args, cfg: ScenarioConfig) -> Report:
             **{f"ordering {label}": _fmt(p) for label, p in ordering_probs.items()},
         },
         header=["candidate", "position", "prior", "p_win", "dead_zone"],
-        rows=[
-            (name, float(x), float(p), float(outcome.win_probs[i]), int(dead_zones[name]))
-            for i, (name, x, p) in enumerate(zip(cfg.names, model.positions, model.priors))
-        ],
+        kinds=[str, float, float, float, int],
+        rows=list(zip(cfg.names, model.positions, model.priors, outcome.win_probs.tolist(),
+                      map(int, dead_zones.values()))),
     )
 
 
@@ -477,6 +480,7 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
         },
         meta=meta,
         header=header,
+        kinds=[float] * len(header),
         rows=_table_rows(table),
     )
 
@@ -515,6 +519,7 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
         },
         meta=meta,
         header=["path", "t", *(f"pi_{n}" for n in cfg.names), *(f"win_{n}" for n in cfg.names)],
+        kinds=[int, float, *[float] * (2 * len(cfg.names))],
         rows=rows(),
     )
 
@@ -534,6 +539,7 @@ def cmd_deadzone(args, cfg: ScenarioConfig) -> Report:
         },
         meta={"sigma": _schedule_meta(model.schedule)},
         header=["candidate", "is_dead", "sigma_bound"],
+        kinds=[str, int, str],
         rows=[
             (name, int(rep.is_dead), "" if rep.sigma_bound is None else _fmt(rep.sigma_bound))
             for name, rep in reports.items()
@@ -558,6 +564,7 @@ def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
         },
         meta={"horizon_years": _fmt(cfg.horizon_years)},
         header=["sigma", *_named(table.columns, cfg.names)],
+        kinds=[float] * (1 + len(table.columns)),
         rows=_table_rows(table),
     )
 
@@ -578,7 +585,8 @@ def cmd_aggregate(args, cfg: ScenarioConfig) -> Report:
         },
         meta={"effective_sigma": _fmt(channel.sigma)},
         header=["source", "rate", "noise_weight"],
-        rows=[(i, float(r), float(wi)) for i, (r, wi) in enumerate(zip(sources.rates, w))],
+        kinds=[int, float, float],
+        rows=list(zip(range(len(w)), sources.rates.tolist(), w.tolist())),
     )
 
 
@@ -634,7 +642,7 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
             "effective_increments": est.effective_increments,
             "n_observations": series.n_observations,
         }
-        rows.append(("historic", float(est.sigma)))
+        rows.append(("historic", est.sigma))
     if cfg.target is not None:
         cfg.model()  # a bad race is reported as the race's fault, not the target's
         k = cfg.names.index(cfg.target["candidate"])
@@ -647,8 +655,9 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
             "win_probability": cfg.target["win_probability"],
             "solutions": [float(s) for s in solutions],
         }
-        rows += [("implied", float(s)) for s in solutions]
-    return Report(json=lambda: obj, meta={}, header=["method", "sigma"], rows=rows)
+        rows += [("implied", s) for s in solutions]
+    return Report(json=lambda: obj, meta={}, header=["method", "sigma"], kinds=[str, float],
+                  rows=rows)
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -185,6 +186,18 @@ def _rate_variances(rates, horizon: float) -> np.ndarray:
     return variances
 
 
+def _schedule_variances(schedule: InfoSchedule, t0, t1) -> np.ndarray:
+    """``schedule.variance`` over arrays of t0 and t1 broadcast together, bit
+    for bit: the same segment terms, summed in the same order."""
+    edges = (0.0,) + schedule.breakpoints + (math.inf,)
+    total = np.zeros(np.broadcast(t0, t1).shape)
+    for rate, lo, hi in zip(schedule.rates, edges, edges[1:]):
+        overlap = np.minimum(t1, hi) - np.maximum(t0, lo)
+        if np.any(overlap > 0.0):  # a segment none reaches may square to inf
+            total += rate * rate * np.maximum(overlap, 0.0)
+    return total
+
+
 @dataclass(frozen=True)
 class ElectionModel:
     """Validated parameterization of a race.
@@ -248,6 +261,20 @@ class ElectionModel:
         and computed once, at construction."""
         return self._variance
 
+    @cached_property
+    def crossing_table(self) -> np.ndarray:
+        """The race's ``_crossings`` [N, N], built once, on first read."""
+        table = _crossings(self.positions_arr, self.priors_arr, self._variance)
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def lead_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_lead_intervals`` of the race's crossing table."""
+        lower, upper = _lead_intervals(self.crossing_table)
+        lower.flags.writeable = upper.flags.writeable = False
+        return lower, upper
+
     def with_schedule(self, schedule: ScheduleLike) -> "ElectionModel":
         return ElectionModel(self.positions, self.priors, self.horizon, _as_schedule(schedule))
 
@@ -299,6 +326,48 @@ def _log_weight(model: ElectionModel, y, variance) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)[..., None]
     v = np.asarray(variance, dtype=np.float64)[..., None]
     return (model.log_priors_arr - 0.5 * x * x * v) + y * x
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _crossings(x: np.ndarray, p: np.ndarray, v) -> np.ndarray:
+    """Crossing thresholds of a batch of races with float positions x and
+    priors p [..., N] and terminal accumulated variances v [..., 1] (a float
+    for one race), as a table [..., N, N]: entry [a, b] with a < b is
+
+        (log p_b - log p_a) / (x_a - x_b) + (x_a / 2 + x_b / 2) V,
+
+    +-inf where one of the pair's priors is zero and NaN where both are;
+    every other entry is NaN. Positions are halved before they are added, so
+    the mean term stays finite up to the float maximum. This is the only
+    place a crossing is formed."""
+    x_a, x_b = x[..., :, None], x[..., None, :]
+    half_x = 0.5 * x
+    mean_x = half_x[..., :, None] + half_x[..., None, :]
+    log_p = np.log(p)
+    v = np.asarray(v)[..., None]
+    table = (log_p[..., None, :] - log_p[..., :, None]) / (x_a - x_b) + mean_x * v
+    table *= _pair_mask(x.shape[-1])
+    return table
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_mask(n: int) -> np.ndarray:
+    """[n, n] factors that keep the entries [a, b] with a < b exactly (1)
+    and turn the rest to NaN."""
+    mask = np.where(np.arange(n)[:, None] < np.arange(n), 1.0, np.nan)
+    mask.flags.writeable = False
+    return mask
+
+
+def _lead_intervals(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lead intervals (L_k, U_k) of races with crossing tables [..., N, N]
+    (``_crossings``), as lower and upper ends [..., N]: k's largest crossing
+    threshold with a rival to its left (-inf if none) and its smallest with
+    one to its right (+inf if none). Candidate k ranks first exactly on
+    (L_k, U_k). A pair with two zero priors (NaN) never binds."""
+    lower = np.fmax.reduce(table, axis=-2, initial=-np.inf)  # column k: rivals left of k
+    upper = np.fmin.reduce(table, axis=-1, initial=np.inf)  # row k: rivals right of k
+    return lower, upper
 
 
 def _softmax(log_weight: np.ndarray) -> np.ndarray:

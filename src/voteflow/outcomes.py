@@ -16,7 +16,6 @@ rate, dividing a threshold by the rate recovers the raw-process value.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -31,8 +30,8 @@ from .errors import (
     NonPositiveHorizon,
     NonPositiveRate,
 )
-from .gaussian import normal_cdf, normal_cdf_diff
-from .model import ElectionModel, _log_weight
+from .gaussian import normal_mass, normal_masses
+from .model import ElectionModel, _crossings, _lead_intervals, _log_weight
 
 __all__ = [
     "CrossingThreshold",
@@ -131,9 +130,8 @@ def crossing_threshold(model: ElectionModel, k: int, j: int) -> CrossingThreshol
     n = model.n_candidates
     if k == j or not (0 <= k < n) or not (0 <= j < n):
         raise InvalidPermutation(f"need distinct candidate indices in [0, {n}), got ({k}, {j})")
-    pair = [min(k, j), max(k, j)]
-    table = _crossings(model.positions_arr[pair], model.priors_arr[pair], model.terminal_variance)
-    return CrossingThreshold(first=k, second=j, value=float(table[0, 1]))
+    value = model.crossing_table[min(k, j), max(k, j)]
+    return CrossingThreshold(first=k, second=j, value=float(value))
 
 
 def ordering_partition(model: ElectionModel) -> OrderingPartition:
@@ -148,9 +146,8 @@ def ordering_partition(model: ElectionModel) -> OrderingPartition:
     Adjacent cells with identical rankings are merged; exactly coincident
     thresholds count into ``tie_count`` and are logged at DEBUG level.
     """
-    v = model.terminal_variance
-    table = _crossings(model.positions_arr, model.priors_arr, v)
-    finite = list(filter(math.isfinite, table.ravel().tolist()))  # a zero prior crosses at +-inf
+    # a zero prior crosses at +-inf
+    finite = list(filter(math.isfinite, model.crossing_table.ravel().tolist()))
     boundaries = sorted(set(finite))
     tie_count = len(finite) - len(boundaries)
     if tie_count:
@@ -159,7 +156,7 @@ def ordering_partition(model: ElectionModel) -> OrderingPartition:
     edges = [-math.inf, *boundaries, math.inf]
     mids = [0.5 * (lo + hi) for lo, hi in zip(boundaries, boundaries[1:])]
     probes = [boundaries[0] - 1.0, *mids, boundaries[-1] + 1.0] if boundaries else [0.0]
-    score = _log_weight(model, probes, v)
+    score = _log_weight(model, probes, model.terminal_variance)
     rankings = np.argsort(-score, axis=-1, kind="stable").tolist()
     cells: list[PartitionCell] = []
     for lo, hi, ordering in zip(edges, edges[1:], map(tuple, rankings)):
@@ -178,9 +175,9 @@ def interval_probability(model: ElectionModel, a: float, b: float) -> float:
 
         P(a < Y_T < b) = sum_j p_j [Phi((b - x_j V)/sqrt(V)) - Phi((a - x_j V)/sqrt(V))].
 
-    Endpoints may be infinite. Far-tail intervals are evaluated through
-    complementary CDFs, so the result is positive and monotone in the
-    endpoints with no catastrophic cancellation.
+    Endpoints may be infinite. Each term is formed from tail values
+    (``normal_mass``), so a far-tail interval's probability is positive and
+    monotone in the endpoints with no catastrophic cancellation.
     """
     if not (a <= b):
         raise InvalidInterval(f"need a <= b, got ({a}, {b})")
@@ -194,7 +191,7 @@ def interval_probability(model: ElectionModel, a: float, b: float) -> float:
             continue
         lo = (a - xj * v) / sd if math.isfinite(a) else -math.inf
         hi = (b - xj * v) / sd if math.isfinite(b) else math.inf
-        total += pj * normal_cdf_diff(lo, hi)
+        total += pj * normal_mass(lo, hi)
     return total
 
 
@@ -212,78 +209,35 @@ def ordering_probability(model: ElectionModel, permutation) -> float:
 def win_probabilities(model: ElectionModel) -> OutcomeProbabilities:
     """Per-candidate probabilities of ranking first on election day
     (first-past-the-post), with all ordering probabilities on demand."""
-    win = _win_kernel(model.positions_arr, model.priors_arr, model.terminal_variance)
+    x, p = model.positions_arr, model.priors_arr
+    win = _lead_masses(x, p, model.terminal_variance, *model.lead_intervals)
     return OutcomeProbabilities(model=model, win_probs=win)
-
-
-# interval_probability's CDF difference, lifted elementwise
-_cdf_diffs = np.frompyfunc(normal_cdf_diff, 2, 1)
-
-
-@np.errstate(divide="ignore", invalid="ignore")
-def _crossings(x: np.ndarray, p: np.ndarray, v) -> np.ndarray:
-    """Crossing thresholds of a batch of races with float positions x and
-    priors p [..., N] and terminal accumulated variances v [..., 1] (a float
-    for one race), as a table [..., N, N]: entry [a, b] with a < b is
-
-        (log p_b - log p_a) / (x_a - x_b) + (x_a / 2 + x_b / 2) V,
-
-    +-inf where one of the pair's priors is zero and NaN where both are;
-    every other entry is NaN. Positions are halved before they are added, so
-    the mean term stays finite up to the float maximum. This is the only
-    place a crossing is formed."""
-    x_a, x_b = x[..., :, None], x[..., None, :]
-    half_x = 0.5 * x
-    mean_x = half_x[..., :, None] + half_x[..., None, :]
-    log_p = np.log(p)
-    v = np.asarray(v)[..., None]
-    table = (log_p[..., None, :] - log_p[..., :, None]) / (x_a - x_b) + mean_x * v
-    table *= _pair_mask(x.shape[-1])
-    return table
-
-
-@functools.lru_cache(maxsize=16)
-def _pair_mask(n: int) -> np.ndarray:
-    """[n, n] factors that keep the entries [a, b] with a < b exactly (1)
-    and turn the rest to NaN."""
-    mask = np.where(np.arange(n)[:, None] < np.arange(n), 1.0, np.nan)
-    mask.flags.writeable = False
-    return mask
-
-
-def _lead_intervals(x: np.ndarray, p: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
-    """Lead intervals (L_k, U_k) of a batch of races, shaped as for
-    ``_crossings``, with lower and upper ends [..., N]: k's largest crossing
-    threshold with a rival to its left (-inf if none) and its smallest with
-    one to its right (+inf if none). Candidate k ranks first exactly on
-    (L_k, U_k). A pair with two zero priors (NaN) never binds."""
-    table = _crossings(x, p, v)
-    lower = np.fmax.reduce(table, axis=-2, initial=-np.inf)  # column k: rivals left of k
-    upper = np.fmin.reduce(table, axis=-1, initial=np.inf)  # row k: rivals right of k
-    return lower, upper
 
 
 def _win_kernel(positions, priors, variance) -> np.ndarray:
     """Win probabilities of a batch of races: positions and priors [..., N]
-    and terminal accumulated variances [...] broadcast to a result [..., N].
-
-    Candidate k wins with the mass of its lead interval (L_k, U_k),
-    sum_j p_j [Phi((U_k - x_j V)/sqrt V) - Phi((L_k - x_j V)/sqrt V)];
-    exactly 0 when p_k = 0 or L_k >= U_k, as in ``is_dead_zone``.
-    """
+    and terminal accumulated variances [...] broadcast to a result [..., N]."""
     x = np.asarray(positions, dtype=np.float64)
     p = np.asarray(priors, dtype=np.float64)
     v = np.asarray(variance, dtype=np.float64)[..., None]
-    lower, upper = _lead_intervals(x, p, v)
+    return _lead_masses(x, p, v[..., None], *_lead_intervals(_crossings(x, p, v)))
 
-    # [..., k, j]: mass of k's lead interval under candidate j's law, needed
-    # only where k can lead and p_j > 0
-    mean, sd = x[..., None, :] * v[..., None], np.sqrt(v)[..., None]
-    lo, hi = (lower[..., :, None] - mean) / sd, (upper[..., :, None] - mean) / sd
-    need = ((p > 0.0) & (lower < upper))[..., :, None] & (p > 0.0)[..., None, :]
-    mass = np.zeros(need.shape)
-    mass[need] = _cdf_diffs(lo[need], hi[need])
-    return (p[..., None, :] * mass).sum(axis=-1)
+
+def _lead_masses(x, p, v, lower, upper) -> np.ndarray:
+    """Win probabilities [..., N] of races with positions x and priors p
+    [..., N], terminal variances v [..., 1, 1] (a float for one race) and
+    lead intervals (L_k, U_k) [..., N].
+
+    Candidate k wins with the mass of its lead interval, sum_j p_j
+    P(L_k < Y_T <= U_k | j) with Y_T ~ Normal(x_j V, V), formed from the
+    tail values of its standardised ends (``normal_masses``). A zero-prior
+    candidate's interval, or an empty one (as in ``is_dead_zone``),
+    collapses to (0, 0), whose mass is exactly 0 under every law.
+    """
+    ends = np.where((p > 0.0) & (lower < upper), (lower, upper), 0.0)  # [2, ..., N]
+    # [2, ..., k, j]: k's interval ends standardised under candidate j's law
+    z = (ends[..., :, None] - x[..., None, :] * v) / np.sqrt(v)
+    return (p[..., None, :] * normal_masses(z)).sum(axis=-1)
 
 
 def two_candidate_win_probability(p: float, sigma: float, horizon: float) -> float:
@@ -306,4 +260,4 @@ def two_candidate_win_probability(p: float, sigma: float, horizon: float) -> flo
     half_var = 0.5 * sigma * sigma * horizon
     d_plus = (log_odds + half_var) / scale
     d_minus = (log_odds - half_var) / scale
-    return p * normal_cdf(d_plus) + (1.0 - p) * normal_cdf(d_minus)
+    return p * normal_mass(-math.inf, d_plus) + (1.0 - p) * normal_mass(-math.inf, d_minus)

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ModelMismatch, ValidationError
-from .model import ElectionModel, _log_weight, _softmax
+from .model import ElectionModel, _log_weight, _schedule_variances, _softmax
 from .outcomes import _win_kernel
 
 __all__ = [
@@ -182,9 +182,7 @@ def posterior_paths(ensemble: PathEnsemble, model: ElectionModel) -> TrajectoryB
     filter dynamics.
     """
     _require_same_model(ensemble, model)
-    v_times = np.array(
-        [model.schedule.variance(0.0, float(t)) for t in ensemble.times]
-    )
+    v_times = _schedule_variances(model.schedule, 0.0, ensemble.times)
     support = _softmax(_log_weight(model, ensemble.signal_paths, v_times))
     return TrajectoryBundle(times=ensemble.times, support=support)
 
@@ -201,9 +199,7 @@ def winprob_paths(ensemble: PathEnsemble, model: ElectionModel) -> TrajectoryBun
     _require_same_model(ensemble, model)
     bundle = posterior_paths(ensemble, model)
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
-    remaining = np.array(
-        [model.schedule.variance(float(t), model.horizon) for t in ensemble.times[:-1]]
-    )
+    remaining = _schedule_variances(model.schedule, ensemble.times[:-1], model.horizon)
     win = np.zeros_like(bundle.support)
     total = n_paths * n_steps
     for start in range(0, total, PATH_STEP_BLOCK):

@@ -34,7 +34,7 @@ from .errors import (
     ZeroPrior,
 )
 from .model import ElectionModel, _log_weight, _positions, _priors, _rate_variances, _softmax
-from .outcomes import _lead_intervals, _win_kernel
+from .outcomes import _win_kernel
 
 __all__ = [
     "DeadZoneReport",
@@ -135,7 +135,7 @@ def is_dead_zone(model: ElectionModel, k: int) -> DeadZoneReport:
     n = model.n_candidates
     if not (0 <= k < n):
         raise ValidationError(f"candidate index {k} outside [0, {n})")
-    lower, upper = _lead_intervals(model.positions_arr, model.priors_arr, model.terminal_variance)
+    lower, upper = model.lead_intervals
     dead = model.priors[k] == 0.0 or not (lower[k] < upper[k])
     bound = None
     if (

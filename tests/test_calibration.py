@@ -196,6 +196,13 @@ class TestImpliedSigma:
         model = ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0, sigma)
         assert win_probabilities(model).win_probs[1] == pytest.approx(1e-200, rel=1e-3)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8], ids=["nan", "zero", "negative"])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tolerance used to skip the bisection and return the unrefined
+        # scan midpoint (0.2111,) for this humped target
+        with pytest.raises(ValidationError, match="tol"):
+            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 2, 0.45, tol=tol)
+
     def test_empty_scan_rejected(self):
         with pytest.raises(ValidationError, match="scan_points"):
             implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 0.0, scan_points=0)

@@ -1,6 +1,8 @@
 """CLI subcommands: exit codes, formats, determinism, round trips."""
 
 import argparse
+import dataclasses
+import io
 import json
 import math
 import os
@@ -21,7 +23,7 @@ from voteflow import (
     simulate_paths,
     win_probabilities,
 )
-from voteflow.cli import Report, _emit, build_parser, main
+from voteflow.cli import Report, _emit, build_parser, load_config, main
 from voteflow.errors import NumericalError
 
 from conftest import POLARISED_P, POLARISED_X
@@ -581,6 +583,7 @@ def test_emit_streams_a_large_report(tmp_path, fmt):
         json=lambda: {"rows": list(data)},
         meta={"rows": 50_000},
         header=["a", "b", "c", "d"],
+        kinds=[float] * 4,
         rows=(tuple(map(float, row)) for block in data for row in block),
     )
     out = tmp_path / f"report.{fmt}"
@@ -592,6 +595,47 @@ def test_emit_streams_a_large_report(tmp_path, fmt):
         tracemalloc.stop()
     assert out.stat().st_size > 3_000_000
     assert peak < out.stat().st_size / 10
+
+
+def old_csv_row(row):
+    """A CSV row as the emitter wrote it before column kinds: 17 significant
+    digits for a float, ``str`` for anything else."""
+    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["forecast", "polarised_low_info"], ["deadzone", "polarised_low_info"],
+     ["sweep", "--axis", "sigma", "five_candidate_peak_support"],
+     ["sweep", "--axis", "priors", "win_vs_support"],
+     ["sweep", "--axis", "positions", "polarised_three_way"],
+     ["simulate", "polarised_three_way"], ["maxsupport", "five_candidate_peak_support"],
+     ["aggregate", "correlated_sources"], ["calibrate", "two_candidate_week_out"]],
+    ids=lambda argv: "-".join(a.strip("-") for a in argv[:-1]),
+)
+def test_csv_template_writes_the_bytes_of_per_value_formatting(argv):
+    # each report's rows, then rows of edge values in its column kinds,
+    # through the kinds' one template and through per-value formatting
+    args = build_parser().parse_args(
+        [*argv[:-1], "--config", str(CONFIG_DIR / f"{argv[-1]}.json"), "--format", "csv"]
+    )
+    report = getattr(voteflow.cli, f"cmd_{args.command}")(args, load_config(args.config))
+    assert len(report.kinds) == len(report.header)
+    edge = {
+        float: [-0.0, 5e-324, 1e308, -2.5e-300, 0.1, 1.0],
+        int: [2**70, -(2**64) - 1, 0, 7],
+        str: ["", "centre", "1e308", "a b"],
+    }
+    rows = list(report.rows)
+    rows += [
+        tuple(edge[kind][(i + c) % len(edge[kind])] for c, kind in enumerate(report.kinds))
+        for i in range(6)
+    ]
+    out = io.StringIO()
+    _emit(dataclasses.replace(report, rows=rows), args, out)
+    text = out.getvalue()
+    table = text[text.index(",".join(report.header) + "\n"):].split("\n", 1)[1]
+    assert table == "".join(map(old_csv_row, rows))
 
 
 @pytest.mark.parametrize(
@@ -612,6 +656,7 @@ def test_failed_report_leaves_no_out_file(tmp_path, capsys, monkeypatch, fmt, er
             json=lambda: {"head": list(range(20_000)), "tail": math.nan},
             meta={},
             header=["a", "b"],
+            kinds=[float, float],
             rows=rows(),
         )
 

@@ -23,7 +23,7 @@ from voteflow.errors import (
     PriorsNotNormalized,
 )
 
-from voteflow.model import _rate_variances, _terminal_variance
+from voteflow.model import _rate_variances, _schedule_variances, _terminal_variance
 from voteflow.strategy import default_sigma_grid
 
 from conftest import POLARISED_P, POLARISED_X, random_model
@@ -147,6 +147,26 @@ class TestRateVariances:
         with pytest.raises(NonPositiveRate) as got:
             _rate_variances(rates, 1.0)
         assert str(got.value) == str(want.value)
+
+
+class TestScheduleVariances:
+    def test_equal_to_the_schedule_bit_for_bit(self):
+        # random piecewise schedules, times on and between their breakpoints;
+        # the last schedule's squared final rate overflows, past every time
+        rng = np.random.default_rng(23)
+        schedules = []
+        for _ in range(40):
+            breaks = np.unique(rng.uniform(1e-3, 3.0, int(rng.integers(0, 5))))
+            rates = 10.0 ** rng.uniform(-3.0, 3.0, len(breaks) + 1)
+            schedules.append(InfoSchedule.piecewise(breaks, rates))
+        schedules.append(InfoSchedule.piecewise([1.0, 4.0], [0.5, 2.0, 1e200]))
+        for sched in schedules:
+            ends = [*sched.breakpoints, 0.0, 4.0]
+            times = np.sort(np.concatenate([rng.uniform(0.0, 4.0, 200), ends]))
+            from_zero = [sched.variance(0.0, float(t)) for t in times]
+            to_end = [sched.variance(float(t), 4.0) for t in times]
+            assert _schedule_variances(sched, 0.0, times).tolist() == from_zero
+            assert _schedule_variances(sched, times, 4.0).tolist() == to_end
 
 
 class TestPosterior:

@@ -230,6 +230,15 @@ class TestIntervalProbability:
         ]
         assert all(p > 0.0 for p in probs)
         assert all(a > b for a, b in zip(probs, probs[1:]))
+        # the right candidate's lead interval moves out beyond 30 standard
+        # deviations as its prior falls, where every CDF rounds to 1: its win
+        # probability stays positive and falls strictly, and none is negative
+        x, p = polarised_model.positions, polarised_model.priors
+        priors = [(p[0], p[1], p[1] * 10.0**-k) for k in np.linspace(1.0, 15.0, 29)]
+        priors = np.array(priors) / np.sum(priors, axis=1, keepdims=True)
+        win = voteflow.outcomes._win_kernel(x, priors, v)
+        assert np.all(win >= 0.0)
+        assert np.all(win[:, 2] > 0.0) and np.all(np.diff(win[:, 2]) < 0.0)
 
     def test_additivity(self, polarised_model):
         rng = np.random.default_rng(8)

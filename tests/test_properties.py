@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voteflow import (
@@ -25,6 +25,7 @@ from voteflow import (
     win_probabilities,
     winprob_paths,
 )
+from voteflow.outcomes import _win_kernel
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -145,3 +146,35 @@ def test_path_win_probabilities_match_direct_conditioning(model, n_paths, n_step
             np.testing.assert_allclose(
                 bundle.win_probs[i, m], win_probabilities(conditioned).win_probs, atol=1e-13
             )
+
+
+@st.composite
+def wide_races(draw):
+    """Races beyond ``races``' no-underflow domain: gaps from 0.01 to 3,
+    priors down to 1e-3 of each other, zero priors, and terminal variances
+    from 1e-4 to 1e3, so standardised interval ends reach |z| of about 40."""
+    n = draw(st.integers(2, 6))
+    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+    positions = draw(st.floats(-3.0, 3.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    zeroed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if not zeroed.all():
+        weights[zeroed] = 0.0
+    rate = 10.0 ** (0.5 * draw(st.floats(-4.0, 3.0)))
+    return ElectionModel(tuple(positions), tuple(weights / weights.sum()), 1.0, rate)
+
+
+@PROPERTY_SETTINGS
+@given(wide_races())
+@example(ElectionModel((0.0, 2.5, 5.0), (0.3, 0.4, 0.3), 1.0, 1e3**0.5))  # ends at |z| = 39.5
+def test_kernel_matches_scalar_interval_masses(model):
+    # the batched tail-value kernel against the scalar interval probability
+    # of each candidate's lead interval, and 0 where the interval is empty
+    lower, upper = model.lead_intervals
+    want = [
+        interval_probability(model, lo, hi) if p > 0.0 and lo < hi else 0.0
+        for p, lo, hi in zip(model.priors, lower.tolist(), upper.tolist())
+    ]
+    got = _win_kernel(model.positions_arr, model.priors_arr, model.terminal_variance)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    assert list(got == 0.0) == [w == 0.0 for w in want]

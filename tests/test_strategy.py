@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import voteflow.model
 from voteflow import (
     ElectionModel,
     crossing_threshold,
@@ -64,6 +65,25 @@ class TestDeadZone:
             if model.priors[n - 1] == 0.0:
                 continue
             assert not is_dead_zone(model, n - 1).is_dead
+
+    def test_one_crossing_table_per_model(self, monkeypatch):
+        # every candidate's dead-zone check, the win probabilities and the
+        # partition of one model read one crossing table
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return crossings(*args)
+
+        crossings = voteflow.model._crossings
+        monkeypatch.setattr(voteflow.model, "_crossings", counted)
+        model = ElectionModel((0.0, 0.7, 1.1, 2.0, 3.5), (0.3, 0.1, 0.2, 0.15, 0.25), 1.0, 0.6)
+        reports = [is_dead_zone(model, k) for k in range(model.n_candidates)]
+        assert len(calls) == 1
+        win_probabilities(model)
+        ordering_partition(model)
+        assert len(calls) == 1
+        assert [r.is_dead for r in reports] == list(win_probabilities(model).win_probs == 0.0)
 
     def test_lead_interval_matches_partition_leader_scan(self):
         # every candidate of random N = 2..6 races, some priors zeroed and
