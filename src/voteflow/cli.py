@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import math
 import os
 import re
@@ -54,6 +55,8 @@ SPECTRUM_NOTE = (
     "candidates with a smaller position are placed politically to the left "
     "of candidates with a larger position"
 )
+
+_log = logging.getLogger("voteflow.cli")  # not __name__: "__main__" under python -m
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -337,7 +340,7 @@ def _emit(report: Report, args, stdout: TextIO) -> None:
             os.remove(args.out)
         raise
     if to_file:
-        print(f"wrote {args.out}", file=sys.stderr)
+        _log.info("wrote %s", args.out)
 
 
 def _named(columns: Sequence[str], names: Sequence[str]) -> list[str]:
@@ -386,7 +389,7 @@ def cmd_forecast(args, cfg: ScenarioConfig) -> Report:
     }
     ordering_sum = math.fsum(outcome.ordering_probs.values())
     dead_zones = {name: is_dead_zone(model, i).is_dead for i, name in enumerate(cfg.names)}
-    print(f"ordering probabilities sum to {_fmt(ordering_sum)}", file=sys.stderr)
+    _log.info("ordering probabilities sum to %.17g", ordering_sum)
 
     def json_report():
         constant = model.schedule.is_constant
@@ -495,7 +498,7 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
     n_paths = cfg.simulation["n_paths"]
     n_steps = cfg.simulation["n_steps"]
     ensemble = simulate_paths(model, n_paths, n_steps, seed)
-    bundle = winprob_paths(ensemble, model)
+    bundle = winprob_paths(ensemble)
 
     def rows():
         times = bundle.times.tolist()

@@ -89,10 +89,6 @@ class NoBracket(NumericalError):
 
 # --- simulation / calibration ----------------------------------------------
 
-class ModelMismatch(ValidationError):
-    """Path ensemble was generated from different model parameters."""
-
-
 class TooFewObservations(ValidationError):
     """A poll series needs at least three observations."""
 

@@ -270,8 +270,8 @@ class ElectionModel:
 
     @cached_property
     def lead_intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_lead_intervals`` of the race's crossing table."""
-        lower, upper = _lead_intervals(self.crossing_table)
+        """``_lead_intervals`` of the race: (0, 0) for a candidate who cannot win."""
+        lower, upper = _lead_intervals(self.crossing_table, self.priors_arr)
         lower.flags.writeable = upper.flags.writeable = False
         return lower, upper
 
@@ -359,15 +359,16 @@ def _pair_mask(n: int) -> np.ndarray:
     return mask
 
 
-def _lead_intervals(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lead_intervals(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Lead intervals (L_k, U_k) of races with crossing tables [..., N, N]
-    (``_crossings``), as lower and upper ends [..., N]: k's largest crossing
-    threshold with a rival to its left (-inf if none) and its smallest with
-    one to its right (+inf if none). Candidate k ranks first exactly on
-    (L_k, U_k). A pair with two zero priors (NaN) never binds."""
+    (``_crossings``) and priors p [..., N], as ends [2, ..., N]: k's largest
+    crossing with a rival to its left (-inf if none) and its smallest with
+    one to its right (+inf if none); a pair of zero priors (NaN) never binds.
+    k ranks first exactly on (L_k, U_k). The one home of the dead rule: a k
+    with a zero prior or an empty interval never wins, and gets (0, 0)."""
     lower = np.fmax.reduce(table, axis=-2, initial=-np.inf)  # column k: rivals left of k
     upper = np.fmin.reduce(table, axis=-1, initial=np.inf)  # row k: rivals right of k
-    return lower, upper
+    return np.where((p > 0.0) & (lower < upper), (lower, upper), 0.0)
 
 
 def _softmax(log_weight: np.ndarray) -> np.ndarray:

@@ -208,33 +208,28 @@ def ordering_probability(model: ElectionModel, permutation) -> float:
 
 def win_probabilities(model: ElectionModel) -> OutcomeProbabilities:
     """Per-candidate probabilities of ranking first on election day
-    (first-past-the-post), with all ordering probabilities on demand."""
-    x, p = model.positions_arr, model.priors_arr
-    win = _lead_masses(x, p, model.terminal_variance, *model.lead_intervals)
+    (first-past-the-post), with all ordering probabilities on demand. Each
+    is the ``interval_probability`` of the candidate's lead interval; a dead
+    candidate's (0, 0) gives exactly 0."""
+    lower, upper = model.lead_intervals
+    win = [interval_probability(model, a, b) for a, b in zip(lower.tolist(), upper.tolist())]
     return OutcomeProbabilities(model=model, win_probs=win)
 
 
 def _win_kernel(positions, priors, variance) -> np.ndarray:
     """Win probabilities of a batch of races: positions and priors [..., N]
-    and terminal accumulated variances [...] broadcast to a result [..., N]."""
-    x = np.asarray(positions, dtype=np.float64)
-    p = np.asarray(priors, dtype=np.float64)
-    v = np.asarray(variance, dtype=np.float64)[..., None]
-    return _lead_masses(x, p, v[..., None], *_lead_intervals(_crossings(x, p, v)))
-
-
-def _lead_masses(x, p, v, lower, upper) -> np.ndarray:
-    """Win probabilities [..., N] of races with positions x and priors p
-    [..., N], terminal variances v [..., 1, 1] (a float for one race) and
-    lead intervals (L_k, U_k) [..., N].
+    and terminal accumulated variances [...] broadcast to a result [..., N].
 
     Candidate k wins with the mass of its lead interval, sum_j p_j
     P(L_k < Y_T <= U_k | j) with Y_T ~ Normal(x_j V, V), formed from the
-    tail values of its standardised ends (``normal_masses``). A zero-prior
-    candidate's interval, or an empty one (as in ``is_dead_zone``),
-    collapses to (0, 0), whose mass is exactly 0 under every law.
-    """
-    ends = np.where((p > 0.0) & (lower < upper), (lower, upper), 0.0)  # [2, ..., N]
+    tail values of its standardised ends (``normal_masses``): bit for bit
+    ``win_probabilities`` of each race, for up to 7 candidates (numpy sums
+    longer rows pairwise)."""
+    x = np.asarray(positions, dtype=np.float64)
+    p = np.asarray(priors, dtype=np.float64)
+    v = np.asarray(variance, dtype=np.float64)[..., None]
+    ends = _lead_intervals(_crossings(x, p, v), p)  # [2, ..., N]
+    v = v[..., None]
     # [2, ..., k, j]: k's interval ends standardised under candidate j's law
     z = (ends[..., :, None] - x[..., None, :] * v) / np.sqrt(v)
     return (p[..., None, :] * normal_masses(z)).sum(axis=-1)

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModelMismatch, ValidationError
+from .errors import ValidationError
 from .model import ElectionModel, _log_weight, _schedule_variances, _softmax
 from .outcomes import _win_kernel
 
@@ -169,25 +169,20 @@ def simulate_paths(
     )
 
 
-def _require_same_model(ensemble: PathEnsemble, model: ElectionModel) -> None:
-    if ensemble.model != model:
-        raise ModelMismatch("ensemble was generated from different model parameters")
-
-
-def posterior_paths(ensemble: PathEnsemble, model: ElectionModel) -> TrajectoryBundle:
-    """Support-rate trajectories along each simulated path.
+def posterior_paths(ensemble: PathEnsemble) -> TrajectoryBundle:
+    """Support-rate trajectories along each path of ``ensemble``, under the
+    model it was drawn from.
 
     Evaluated at every step from the exact filter formula (posterior weights
     in the log domain with a max shift), not from a discretization of the
     filter dynamics.
     """
-    _require_same_model(ensemble, model)
-    v_times = _schedule_variances(model.schedule, 0.0, ensemble.times)
-    support = _softmax(_log_weight(model, ensemble.signal_paths, v_times))
+    v_times = _schedule_variances(ensemble.model.schedule, 0.0, ensemble.times)
+    support = _softmax(_log_weight(ensemble.model, ensemble.signal_paths, v_times))
     return TrajectoryBundle(times=ensemble.times, support=support)
 
 
-def winprob_paths(ensemble: PathEnsemble, model: ElectionModel) -> TrajectoryBundle:
+def winprob_paths(ensemble: PathEnsemble) -> TrajectoryBundle:
     """Support plus realized conditional win-probability trajectories.
 
     Given the history up to an interior time t, the race is the same race
@@ -196,8 +191,8 @@ def winprob_paths(ensemble: PathEnsemble, model: ElectionModel) -> TrajectoryBun
     evaluation per block of path-steps; at the final time the win vector is
     the indicator of the leading candidate (ties to the lower index).
     """
-    _require_same_model(ensemble, model)
-    bundle = posterior_paths(ensemble, model)
+    model = ensemble.model
+    bundle = posterior_paths(ensemble)
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
     remaining = _schedule_variances(model.schedule, ensemble.times[:-1], model.horizon)
     win = np.zeros_like(bundle.support)

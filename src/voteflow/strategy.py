@@ -126,17 +126,17 @@ def is_dead_zone(model: ElectionModel, k: int) -> DeadZoneReport:
     largest crossing with a candidate to the left (-inf if none) and U_k the
     smallest crossing with a candidate to the right (+inf if none); a
     zero-prior rival crosses at -+inf and so never binds. k is dead when its
-    own prior is zero or the interval is empty, which is exactly where the
-    win kernel, integrating the same interval, gives 0. Works for any number
-    of candidates and any k. For the three-candidate centre seat (all priors
-    positive, constant rate) the report also carries the rate bound below
-    which the dead zone persists.
+    own prior is zero or the interval is empty; the model's lead intervals
+    are then (0, 0), whose mass, k's win probability, is exactly 0. Works
+    for any number of candidates and any k. For the three-candidate centre
+    seat (all priors positive, constant rate) the report also carries the
+    rate bound below which the dead zone persists.
     """
     n = model.n_candidates
     if not (0 <= k < n):
         raise ValidationError(f"candidate index {k} outside [0, {n})")
     lower, upper = model.lead_intervals
-    dead = model.priors[k] == 0.0 or not (lower[k] < upper[k])
+    dead = not lower[k] < upper[k]
     bound = None
     if (
         n == 3

@@ -237,7 +237,7 @@ def test_criterion_10_calibration_recovery():
         for series_idx in range(20):
             model = ElectionModel(POLARISED_X, POLARISED_P, 1.0, sigma_true)
             ensemble = simulate_paths(model, 1, 10_000, seed=10_000 + series_idx)
-            bundle = posterior_paths(ensemble, model)
+            bundle = posterior_paths(ensemble)
             series = PollSeries(
                 times=np.asarray(bundle.times),
                 supports=bundle.support[0],

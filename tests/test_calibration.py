@@ -31,7 +31,7 @@ def simulated_series(sigma, seed, n_steps=10_000, horizon=1.0):
     """One poll trajectory generated at a known rate."""
     model = ElectionModel(POLARISED_X, POLARISED_P, horizon, sigma)
     ensemble = simulate_paths(model, 1, n_steps, seed=seed)
-    bundle = posterior_paths(ensemble, model)
+    bundle = posterior_paths(ensemble)
     return PollSeries(
         times=np.asarray(bundle.times),
         supports=bundle.support[0],

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -128,18 +129,23 @@ class TestForecast:
         assert report["partition"]["boundaries_y"] == list(partition.boundaries)
         assert report["partition"]["boundaries_xi"] == list(partition.boundaries)
 
-    def test_prints_ordering_sum_check_line(self, tmp_path, capsys):
+    def test_ordering_sum_check_is_an_info_record(self, tmp_path, capsys, caplog):
         cfg = write_config(tmp_path, POLARISED_CONFIG)
-        main(["forecast", "--config", cfg])
-        assert "ordering probabilities sum to 1" in capsys.readouterr().err
+        with caplog.at_level(logging.INFO, logger="voteflow.cli"):
+            main(["forecast", "--config", cfg])
+        assert capsys.readouterr().err == ""
+        messages = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        assert messages == [("voteflow.cli", logging.INFO, "ordering probabilities sum to 1")]
 
-    def test_out_path_notice_goes_to_stderr(self, tmp_path, capsys):
+    def test_out_path_notice_is_an_info_record(self, tmp_path, capsys, caplog):
         cfg = write_config(tmp_path, POLARISED_CONFIG)
         out = tmp_path / "report.json"
-        main(["forecast", "--config", cfg, "--out", str(out)])
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"wrote {out}" in captured.err
+        with caplog.at_level(logging.INFO, logger="voteflow.cli"):
+            main(["forecast", "--config", cfg, "--out", str(out)])
+        assert capsys.readouterr() == ("", "")
+        assert ("voteflow.cli", logging.INFO, f"wrote {out}") in [
+            (r.name, r.levelno, r.getMessage()) for r in caplog.records
+        ]
 
     def test_dead_zone_flag_in_output(self, tmp_path, capsys):
         payload = dict(POLARISED_CONFIG)
@@ -351,7 +357,7 @@ class TestCalibrate:
     def write_series_csv(self, tmp_path, sigma=1.0, n_steps=10_000):
         model = ElectionModel(POLARISED_X, POLARISED_P, 1.0, sigma)
         ensemble = simulate_paths(model, 1, n_steps, seed=88)
-        bundle = posterior_paths(ensemble, model)
+        bundle = posterior_paths(ensemble)
         lines = ["t,left,centre,right"]
         for t, row in zip(bundle.times, bundle.support[0]):
             lines.append(",".join(f"{v:.17g}" for v in (t, *row)))
@@ -856,7 +862,7 @@ def write_polls(tmp_path, cfg):
         cfg["horizon_years"],
         cfg["sigma"],
     )
-    bundle = posterior_paths(simulate_paths(model, 1, 200, seed=88), model)
+    bundle = posterior_paths(simulate_paths(model, 1, 200, seed=88))
     lines = [",".join(["t", *(c["name"] for c in cfg["candidates"])])]
     lines += [",".join(f"{v:.17g}" for v in (t, *row)) for t, row in zip(bundle.times, bundle.support[0])]
     path = tmp_path / "polls.csv"

@@ -16,6 +16,7 @@ from voteflow import (
     ordering_partition,
     ordering_probability,
     posterior_support,
+    sweep_sigma,
     two_candidate_win_probability,
     win_probabilities,
 )
@@ -333,8 +334,20 @@ class TestWinProbabilities:
                 assert out.win_probs[k] == pytest.approx(direct, abs=1e-12)
             assert math.fsum(out.win_probs) == pytest.approx(1.0, abs=1e-10)
 
+    def test_one_race_takes_the_scalar_form_and_batches_the_kernel(self, monkeypatch):
+        # one race's win probabilities are scalar lead-interval masses; only
+        # batches (here a rate sweep) reach the batched tail-value kernel
+        def batched(z):
+            raise RuntimeError("normal_masses called")
+
+        monkeypatch.setattr(voteflow.outcomes, "normal_masses", batched)
+        model = ElectionModel(POLARISED_X, POLARISED_P, 1.0, 0.7)
+        assert math.fsum(win_probabilities(model).win_probs) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(RuntimeError, match="normal_masses called"):
+            sweep_sigma(model)
+
     def test_win_probabilities_build_no_partition(self, monkeypatch, polarised_model):
-        # the lead-interval kernel alone gives the win probabilities; the
+        # the lead intervals alone give the win probabilities; the
         # partition is built on first read of partition or ordering_probs
         real = voteflow.outcomes.ordering_partition
         built = []

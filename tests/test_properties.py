@@ -137,7 +137,7 @@ def test_zero_exactly_where_locked_out(model):
 @given(races(), st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**31 - 1))
 def test_path_win_probabilities_match_direct_conditioning(model, n_paths, n_steps, seed):
     ensemble = simulate_paths(model, n_paths, n_steps, seed)
-    bundle = winprob_paths(ensemble, model)
+    bundle = winprob_paths(ensemble)
     for i in range(n_paths):
         for m in range(n_steps):
             conditioned = condition_on_history(
@@ -169,7 +169,8 @@ def wide_races(draw):
 @example(ElectionModel((0.0, 2.5, 5.0), (0.3, 0.4, 0.3), 1.0, 1e3**0.5))  # ends at |z| = 39.5
 def test_kernel_matches_scalar_interval_masses(model):
     # the batched tail-value kernel against the scalar interval probability
-    # of each candidate's lead interval, and 0 where the interval is empty
+    # of each candidate's lead interval, and 0 where the interval is empty;
+    # one race's win probabilities are those scalar masses, bit for bit
     lower, upper = model.lead_intervals
     want = [
         interval_probability(model, lo, hi) if p > 0.0 and lo < hi else 0.0
@@ -178,3 +179,4 @@ def test_kernel_matches_scalar_interval_masses(model):
     got = _win_kernel(model.positions_arr, model.priors_arr, model.terminal_variance)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
     assert list(got == 0.0) == [w == 0.0 for w in want]
+    np.testing.assert_array_equal(got, win_probabilities(model).win_probs)

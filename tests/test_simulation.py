@@ -16,7 +16,7 @@ from voteflow import (
     win_probabilities,
     winprob_paths,
 )
-from voteflow.errors import ModelMismatch, ValidationError
+from voteflow.errors import ValidationError
 
 from conftest import POLARISED_P, POLARISED_X, random_model
 
@@ -104,7 +104,7 @@ class TestSimulatePaths:
 class TestPosteriorPaths:
     def test_initial_step_is_the_prior(self, polarised_model):
         ensemble = simulate_paths(polarised_model, 6, 20, seed=3)
-        bundle = posterior_paths(ensemble, polarised_model)
+        bundle = posterior_paths(ensemble)
         for i in range(6):
             np.testing.assert_allclose(
                 bundle.support[i, 0], polarised_model.priors_arr, atol=1e-15
@@ -115,20 +115,14 @@ class TestPosteriorPaths:
         for _ in range(5):
             model = random_model(rng, piecewise=bool(rng.integers(2)))
             ensemble = simulate_paths(model, 10, 50, seed=int(rng.integers(1 << 31)))
-            bundle = posterior_paths(ensemble, model)
+            bundle = posterior_paths(ensemble)
             sums = bundle.support.sum(axis=2)
             np.testing.assert_allclose(sums, 1.0, atol=1e-10)
-
-    def test_model_mismatch_rejected(self, polarised_model):
-        ensemble = simulate_paths(polarised_model, 2, 5, seed=9)
-        other = polarised_model.with_schedule(0.5)
-        with pytest.raises(ModelMismatch):
-            posterior_paths(ensemble, other)
 
     def test_filter_martingale_at_terminal_time(self, polarised_model):
         n = 50_000
         ensemble = simulate_paths(polarised_model, n, 16, seed=62)
-        bundle = posterior_paths(ensemble, polarised_model)
+        bundle = posterior_paths(ensemble)
         terminal = bundle.support[:, -1, :]
         for i in range(3):
             se = float(terminal[:, i].std(ddof=1)) / math.sqrt(n)
@@ -141,7 +135,7 @@ class TestPosteriorPaths:
         model = ElectionModel(POLARISED_X, POLARISED_P, 50.0 / sigma**2, sigma)
         n = 400
         ensemble = simulate_paths(model, n, 250, seed=71)
-        bundle = posterior_paths(ensemble, model)
+        bundle = posterior_paths(ensemble)
         mass_on_label = bundle.support[np.arange(n), -1, ensemble.latent]
         assert float(mass_on_label.mean()) > 0.99
 
@@ -149,14 +143,14 @@ class TestPosteriorPaths:
 class TestWinprobPaths:
     def test_initial_step_is_the_unconditional_forecast(self, polarised_model):
         ensemble = simulate_paths(polarised_model, 4, 10, seed=13)
-        bundle = winprob_paths(ensemble, polarised_model)
+        bundle = winprob_paths(ensemble)
         unconditional = win_probabilities(polarised_model).win_probs
         for i in range(4):
             np.testing.assert_allclose(bundle.win_probs[i, 0], unconditional, atol=1e-12)
 
     def test_terminal_step_is_one_hot_on_the_leader(self, polarised_model):
         ensemble = simulate_paths(polarised_model, 6, 10, seed=14)
-        bundle = winprob_paths(ensemble, polarised_model)
+        bundle = winprob_paths(ensemble)
         for i in range(6):
             leader = int(np.argmax(bundle.support[i, -1]))
             expected = np.zeros(3)
@@ -165,12 +159,12 @@ class TestWinprobPaths:
 
     def test_win_rows_sum_to_one(self, polarised_model):
         ensemble = simulate_paths(polarised_model, 3, 12, seed=15)
-        bundle = winprob_paths(ensemble, polarised_model)
+        bundle = winprob_paths(ensemble)
         np.testing.assert_allclose(bundle.win_probs.sum(axis=2), 1.0, atol=1e-10)
 
     def test_interior_step_matches_direct_conditioning(self, polarised_model):
         ensemble = simulate_paths(polarised_model, 2, 8, seed=16)
-        bundle = winprob_paths(ensemble, polarised_model)
+        bundle = winprob_paths(ensemble)
         i, m = 1, 5
         conditioned = condition_on_history(
             polarised_model,

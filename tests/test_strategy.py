@@ -1,6 +1,7 @@
 """Dead zones, the rate bound, peak support, and parameter sweeps."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +34,12 @@ from voteflow.errors import (
     ValidationError,
     ZeroPrior,
 )
+from voteflow.cli import load_config
 from voteflow.strategy import simplex_grid
 
 from conftest import POLARISED_P, POLARISED_X, golden_section_max, random_model
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # frozen from direct evaluation of the sign-corrected closed form
 ORACLE_BOUND_POLARISED = 0.8395903894992673
@@ -65,6 +69,27 @@ class TestDeadZone:
             if model.priors[n - 1] == 0.0:
                 continue
             assert not is_dead_zone(model, n - 1).is_dead
+
+    def test_lead_intervals_carry_the_dead_rule(self):
+        # the model's lead intervals are (0, 0) exactly at the candidates who
+        # cannot win (the locked-out centre, a zero-prior end), the raw
+        # fmax/fmin of the crossing table elsewhere, and is_dead_zone reads
+        # its flag from them
+        races = [
+            (load_config(str(CONFIG_DIR / "polarised_low_info.json")).model(), [1]),
+            (ElectionModel(POLARISED_X, (0.55, 0.45, 0.0), 1.0, 1.0), [2]),
+        ]
+        for model, dead in races:
+            raw_lower = np.fmax.reduce(model.crossing_table, axis=0, initial=-np.inf)
+            raw_upper = np.fmin.reduce(model.crossing_table, axis=1, initial=np.inf)
+            lower, upper = model.lead_intervals
+            for k in range(3):
+                if k in dead:
+                    assert (lower[k], upper[k]) == (0.0, 0.0)
+                else:
+                    assert (lower[k], upper[k]) == (raw_lower[k], raw_upper[k])
+                    assert (lower[k], upper[k]) != (0.0, 0.0)
+                assert is_dead_zone(model, k).is_dead == (k in dead)
 
     def test_one_crossing_table_per_model(self, monkeypatch):
         # every candidate's dead-zone check, the win probabilities and the
