@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +41,13 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-6
+
+#: ``implied_sigma``'s scan: SCAN_POINTS geometric rates over [SCAN_SIGMA_MIN,
+#: SCAN_SIGMA_MAX], each bracket of the target bisected to a width of SCAN_TOL.
+SCAN_SIGMA_MIN = 1e-4
+SCAN_SIGMA_MAX = 1e3
+SCAN_POINTS = 200
+SCAN_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,50 +145,33 @@ def estimate_sigma_historic(series: PollSeries) -> SigmaEstimate:
     return SigmaEstimate(sigma=sigma, standard_error=standard_error, effective_increments=m_eff)
 
 
-def implied_sigma(
-    positions: Sequence[float],
-    priors: Sequence[float],
-    horizon: float,
-    candidate: int,
-    target: float,
-    sigma_min: float = 1e-4,
-    sigma_max: float = 1e3,
-    scan_points: int = 200,
-    tol: float = 1e-8,
-) -> tuple[float, ...]:
+def implied_sigma(model: ElectionModel, candidate: int, target: float) -> tuple[float, ...]:
     """All constant rates at which the candidate's win probability hits target.
 
-    Scans a geometric grid over [sigma_min, sigma_max]. Each pair of
-    neighbouring scan points on different sides of the target (above, below,
-    or exactly on it) is a bracket: a plateau edge when one end hits the
-    target exactly, else a sign change. One bisection refines all brackets
-    together to ``tol``, one kernel call over every midpoint per step. A
-    plateau edge returns its last exact hit: the interior edge of a run
-    where the probability equals the target (for a zero target inside a
-    dead zone this is the supremum solution, the dead-zone rate bound). A
-    sign change returns its final midpoint, or a midpoint that hits the
-    target exactly. Raises Unattainable when the scan never meets or
-    crosses the target.
+    Reads the model's positions, priors and horizon; its schedule, the rate
+    being solved for, is not read. Scans SCAN_POINTS geometric rates over
+    [SCAN_SIGMA_MIN, SCAN_SIGMA_MAX]. Each pair of neighbouring scan points
+    on different sides of the target (above, below, or exactly on it) is a
+    bracket: a plateau edge when one end hits the target exactly, else a
+    sign change. One bisection refines all brackets together to SCAN_TOL,
+    one kernel call over every midpoint per step. A plateau edge returns
+    its last exact hit: the interior edge of a run where the probability
+    equals the target (for a zero target inside a dead zone this is the
+    supremum solution, the dead-zone rate bound). A sign change returns its
+    final midpoint, or a midpoint that hits the target exactly. Raises
+    Unattainable when the scan never meets or crosses the target.
     """
     if not (0.0 <= target <= 1.0):
         raise ValidationError(f"target probability must lie in [0, 1], got {target}")
-    n = len(positions)
+    n = model.n_candidates
     if not (0 <= candidate < n):
         raise ValidationError(f"candidate index {candidate} outside [0, {n})")
-    if scan_points < 1:
-        raise ValidationError(f"scan_points must be >= 1, got {scan_points}")
-    if not (0.0 < tol < math.inf):
-        raise ValidationError(f"tol must be finite and > 0, got {tol}")
-    if not (0.0 < sigma_min <= sigma_max < math.inf):
-        raise ValidationError(f"need 0 < sigma_min <= sigma_max < inf, got {sigma_min}, {sigma_max}")
-
-    model = ElectionModel(positions, priors, horizon, 1.0)
 
     def win(sigmas) -> np.ndarray:
         variances = _rate_variances(sigmas, model.horizon)
         return _win_kernel(model.positions_arr, model.priors_arr, variances)[:, candidate]
 
-    grid = np.geomspace(sigma_min, sigma_max, scan_points)
+    grid = np.geomspace(SCAN_SIGMA_MIN, SCAN_SIGMA_MAX, SCAN_POINTS)
     gap = win(grid) - target
     side = np.sign(gap)
     if not side.any():
@@ -193,7 +182,7 @@ def implied_sigma(
         held_at = np.where(side[k + 1] == 0, k + 1, k)
         held, far, held_side = grid[held_at], grid[2 * k + 1 - held_at], side[held_at]
         for _ in range(200):
-            live = np.abs(far - held) > tol
+            live = np.abs(far - held) > SCAN_TOL
             if not live.any():
                 break
             mid = 0.5 * (held[live] + far[live])
@@ -207,12 +196,12 @@ def implied_sigma(
     if not solutions:
         raise Unattainable(
             f"target {target} for candidate {candidate} not reached on "
-            f"[{sigma_min}, {sigma_max}] (achieved range [{target + gap.min():.6g}, "
+            f"[{SCAN_SIGMA_MIN}, {SCAN_SIGMA_MAX}] (achieved range [{target + gap.min():.6g}, "
             f"{target + gap.max():.6g}])"
         )
     solutions.sort()
     deduped = [solutions[0]]
     for s in solutions[1:]:
-        if s - deduped[-1] > 10.0 * tol:
+        if s - deduped[-1] > 10.0 * SCAN_TOL:
             deduped.append(s)
     return tuple(deduped)

@@ -448,9 +448,7 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
         axis_columns = ["sigma"]
     elif args.axis == "priors":
         try:
-            table = sweep_priors(
-                cfg.positions, cfg.schedule, cfg.horizon_years, cfg.prior_grid, cfg.prior_grid_step
-            )
+            table = sweep_priors(model, cfg.prior_grid, cfg.prior_grid_step)
         except ValidationError as exc:
             if cfg.prior_grid is None:
                 raise MissingSweepBlock(
@@ -553,7 +551,7 @@ def cmd_deadzone(args, cfg: ScenarioConfig) -> Report:
 def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
     with _rate_grid_field(args, cfg):
-        table = max_support_curve(cfg.positions, cfg.priors, cfg.horizon_years, cfg.sigma_grid)
+        table = max_support_curve(model, cfg.sigma_grid)
     points = {
         cfg.names[r.candidate]: {"y_star": r.y_star, "pi_max": r.pi_max, "residual": r.residual}
         for r in _max_support_points(model, range(1, len(cfg.names) - 1))
@@ -647,12 +645,10 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
         }
         rows.append(("historic", est.sigma))
     if cfg.target is not None:
-        cfg.model()  # a bad race is reported as the race's fault, not the target's
+        model = cfg.model()  # a bad race is reported as the race's fault, not the target's
         k = cfg.names.index(cfg.target["candidate"])
         with _field(f"{args.config}.target.win_probability"):
-            solutions = implied_sigma(
-                cfg.positions, cfg.priors, cfg.horizon_years, k, cfg.target["win_probability"]
-            )
+            solutions = implied_sigma(model, k, cfg.target["win_probability"])
         obj["implied"] = {
             "candidate": cfg.target["candidate"],
             "win_probability": cfg.target["win_probability"],

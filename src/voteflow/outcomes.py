@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveRate,
 )
 from .gaussian import normal_mass, normal_masses
-from .model import ElectionModel, _crossings, _lead_intervals, _log_weight
+from .model import ElectionModel, _crossings, _lead_intervals
 
 __all__ = [
     "CrossingThreshold",
@@ -137,26 +137,43 @@ def crossing_threshold(model: ElectionModel, k: int, j: int) -> CrossingThreshol
 def ordering_partition(model: ElectionModel) -> OrderingPartition:
     """Partition accumulated-signal space by the election-day ranking.
 
-    The ranking on each cell is found constructively: evaluate each
-    candidate's log posterior weight (up to a common constant) at the cell
-    midpoint, or one unit beyond the end boundary for the unbounded cells,
-    and sort, ties broken by lower candidate index. The log weights do not
-    underflow, so trailing candidates are ranked too; only zero-prior
-    candidates tie, at -inf. This works for any number of candidates.
-    Adjacent cells with identical rankings are merged; exactly coincident
-    thresholds count into ``tie_count`` and are logged at DEBUG level.
+    The boundaries and the ranking on each cell both come from the model's
+    crossing table. Each cell is ranked at one probe: its midpoint, halves
+    added so it stays finite, or the next float beyond the end boundary for
+    the unbounded cells. k's score
+    at probe y is the number of rivals it beats: for a < b, b beats a where
+    y > table[a, b] and a beats b where y < table[a, b]; a NaN entry (two
+    zero priors) beats no one. Scores are sorted stably, so zero-prior
+    candidates, who beat no one, rank last in index order. This works for
+    any number of candidates. Adjacent cells with identical rankings are
+    merged; exactly coincident thresholds count into ``tie_count`` and are
+    logged at DEBUG level.
     """
+    table = model.crossing_table
     # a zero prior crosses at +-inf
-    finite = list(filter(math.isfinite, model.crossing_table.ravel().tolist()))
+    finite = list(filter(math.isfinite, table.ravel().tolist()))
     boundaries = sorted(set(finite))
     tie_count = len(finite) - len(boundaries)
     if tie_count:
         _log.debug("%d coincident crossing threshold(s); zero-width cells merged", tie_count)
 
     edges = [-math.inf, *boundaries, math.inf]
-    mids = [0.5 * (lo + hi) for lo, hi in zip(boundaries, boundaries[1:])]
-    probes = [boundaries[0] - 1.0, *mids, boundaries[-1] + 1.0] if boundaries else [0.0]
-    score = _log_weight(model, probes, model.terminal_variance)
+    mids = [0.5 * lo + 0.5 * hi for lo, hi in zip(boundaries, boundaries[1:])]  # no overflow
+    probes = np.array(
+        [math.nextafter(boundaries[0], -math.inf), *mids, math.nextafter(boundaries[-1], math.inf)]
+        if boundaries
+        else [0.0]
+    )
+    # each pair's wins as steps over the sorted probes, so the scores take
+    # O(probes x N) memory: a beats b at the probes below the crossing, b
+    # beats a at those above it; a NaN pair fails table == table
+    a, b = np.nonzero(table == table)
+    crossing = table[a, b]
+    steps = np.zeros((len(probes) + 1, model.n_candidates))
+    np.add.at(steps, (0, a), 1.0)
+    np.add.at(steps, (np.searchsorted(probes, crossing), a), -1.0)
+    np.add.at(steps, (np.searchsorted(probes, crossing, side="right"), b), 1.0)
+    score = steps.cumsum(axis=0)[:-1]
     rankings = np.argsort(-score, axis=-1, kind="stable").tolist()
     cells: list[PartitionCell] = []
     for lo, hi, ordering in zip(edges, edges[1:], map(tuple, rankings)):

@@ -104,14 +104,6 @@ class MonteCarloOutcome:
     def ordering_freqs(self) -> dict[tuple[int, ...], float]:
         return {k: c / self.n_paths for k, c in self.ordering_counts.items()}
 
-    @property
-    def ordering_std_errors(self) -> dict[tuple[int, ...], float]:
-        out = {}
-        for k, c in self.ordering_counts.items():
-            f = c / self.n_paths
-            out[k] = math.sqrt(f * (1.0 - f) / self.n_paths)
-        return out
-
 
 #: Path-steps per win-kernel call in ``winprob_paths``. The kernel holds a
 #: few N x N arrays per path-step; a fixed block caps them (6 MB at N = 6)

@@ -10,11 +10,11 @@ election-day support, the root of a one-dimensional first-order condition,
 found for a whole rate grid by one batched bracket-and-bisection.
 
 Sweeps evaluate win probabilities over grids of the rate, the current
-support rates, and the spectrum positions. Each validates the parts of the
-race it holds fixed once, as one model, and checks each entry of the axis
-it varies by the rule that model applies to it; then the whole grid's
-lead-interval masses are evaluated in one batched closed-form call, in
-deterministic grid order.
+support rates, and the spectrum positions. Each takes the caller's model,
+reads the parts of the race it holds fixed from it, and checks each entry
+of the axis it varies by the rule that model applies to it; then the whole
+grid's lead-interval masses are evaluated in one batched closed-form call,
+in deterministic grid order.
 """
 
 from __future__ import annotations
@@ -144,15 +144,11 @@ def is_dead_zone(model: ElectionModel, k: int) -> DeadZoneReport:
         and model.schedule.is_constant
         and all(p > 0.0 for p in model.priors)
     ):
-        bound = dead_zone_sigma_bound(model.positions, model.priors, model.horizon)
+        bound = dead_zone_sigma_bound(model)
     return DeadZoneReport(candidate=k, is_dead=dead, sigma_bound=bound)
 
 
-def dead_zone_sigma_bound(
-    positions: Sequence[float],
-    priors: Sequence[float],
-    horizon: float,
-) -> Optional[float]:
+def dead_zone_sigma_bound(model: ElectionModel) -> Optional[float]:
     """Largest constant rate at which the centre candidate is locked out.
 
     The centre candidate of a three-candidate race has identically zero win
@@ -166,16 +162,16 @@ def dead_zone_sigma_bound(
         m = g12 * (l0 - l1) - g01 * (l1 - l2).
 
     Returns the square root of the right-hand side, or None when m <= 0 (no
-    positive rate creates a dead zone). Inputs are validated as for
-    ``ElectionModel``; all three priors must be positive.
+    positive rate creates a dead zone). Reads the model's positions, priors
+    and horizon; its schedule, the rate being solved for, is not read. All
+    three priors must be positive.
     """
-    if len(positions) != 3 or len(priors) != 3:
+    if model.n_candidates != 3:
         raise RequiresThreeCandidates(
-            f"bound is defined for 3 candidates, got {len(positions)}"
+            f"bound is defined for 3 candidates, got {model.n_candidates}"
         )
-    model = ElectionModel(positions, priors, horizon, 1.0)
     if any(p <= 0.0 for p in model.priors):
-        raise ZeroPrior(f"all priors must be > 0, got {tuple(priors)}")
+        raise ZeroPrior(f"all priors must be > 0, got {model.priors}")
     x0, x1, x2 = model.positions
     l0, l1, l2 = model.log_priors_arr.tolist()
     g01, g02, g12 = x1 - x0, x2 - x0, x2 - x1
@@ -263,20 +259,17 @@ def _support_peaks(model: ElectionModel, variances, ks):
 
 
 def max_support_curve(
-    positions: Sequence[float],
-    priors: Sequence[float],
-    horizon: float,
-    sigma_grid: Optional[Sequence[float]] = None,
+    model: ElectionModel, sigma_grid: Optional[Sequence[float]] = None
 ) -> SweepTable:
     """Peak attainable support per candidate over a grid of constant rates.
 
     Spectrum-end candidates have no interior peak: their support is monotone
     in the signal and approaches 1 (0 for a zero prior), reported as such;
-    so is an interior candidate with no peak.
+    so is an interior candidate with no peak. The model's schedule, the
+    axis varied here, is not read.
     """
     grid = tuple(sigma_grid) if sigma_grid is not None else default_sigma_grid()
-    n = len(positions)
-    model = ElectionModel(positions, priors, horizon, 1.0)
+    n = model.n_candidates
     _, peak, _ = _support_peaks(model, _rate_variances(grid, model.horizon), np.arange(1, n - 1))
     values = np.tile(model.priors_arr > 0.0, (len(grid), 1)).astype(np.float64)
     values[:, 1:-1] = np.where(np.isnan(peak), values[:, 1:-1], peak)
@@ -374,25 +367,22 @@ def _simplex_cells(step: float) -> int:
 
 
 def sweep_priors(
-    positions: Sequence[float],
-    sigma,
-    horizon: float,
+    model: ElectionModel,
     prior_points: Optional[Sequence[Sequence[float]]] = None,
     step: Optional[float] = None,
 ) -> SweepTable:
     """Win probabilities per candidate over a grid of current support rates.
 
-    ``prior_points`` are full prior vectors; by default a regular simplex
-    grid of the given step (two or three candidates; ``simplex_grid``'s
-    default step when None). Entries are exactly zero where the candidate
-    is locked out.
+    ``prior_points`` are full prior vectors, each checked as a model's
+    priors; by default a regular simplex grid of the given step (two or
+    three candidates; ``simplex_grid``'s default step when None). Entries
+    are exactly zero where the candidate is locked out. The model's priors,
+    the axis varied here, are not read.
     """
-    n = len(positions)
+    n = model.n_candidates
     if prior_points is None:
         prior_points = simplex_grid(n, step)
     points = tuple(tuple(float(p) for p in pt) for pt in prior_points)
-    # the priors vary by row; a one-hot placeholder lets the model check the rest
-    model = ElectionModel(positions, (1.0,) + (0.0,) * (n - 1), horizon, sigma)
     priors = np.reshape([_priors(p, n) for p in points], (-1, n))
     return SweepTable(
         axis_name="priors",

@@ -21,6 +21,17 @@ def polarised_low_info():
     return ElectionModel(POLARISED_X, POLARISED_P, 1.0, 0.25)
 
 
+@pytest.fixture
+def built_models(monkeypatch):
+    """Every ElectionModel constructed from here to the end of the test."""
+    built = []
+    post_init = ElectionModel.__post_init__
+    monkeypatch.setattr(
+        ElectionModel, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    return built
+
+
 def random_model(rng, n=None, piecewise=False, min_gap=0.2):
     """A random valid model: sorted distinct positions, Dirichlet priors."""
     if n is None:

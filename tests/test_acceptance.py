@@ -196,12 +196,13 @@ def test_criterion_08_dead_zone_bound_bracketing():
         positions = (0.0, float(gaps[0]), float(gaps[0] + gaps[1]))
         priors = (p1, p2, p3)
         horizon = float(rng.uniform(0.3, 2.0))
-        bound = dead_zone_sigma_bound(positions, priors, horizon)
+        race = ElectionModel(positions, priors, horizon, 1.0)
+        bound = dead_zone_sigma_bound(race)
         if bound is None:
             continue
         tested += 1
-        below = is_dead_zone(ElectionModel(positions, priors, horizon, 0.99 * bound), 1)
-        above = is_dead_zone(ElectionModel(positions, priors, horizon, 1.01 * bound), 1)
+        below = is_dead_zone(race.with_schedule(0.99 * bound), 1)
+        above = is_dead_zone(race.with_schedule(1.01 * bound), 1)
         if not below.is_dead:
             failures.append(f"config {tested}: alive at 0.99 * bound ({bound:.6g})")
         if above.is_dead:
@@ -354,7 +355,7 @@ def test_criterion_12_plot_data_emission(tmp_path):
         header, rows = _read_csv(out)
         sigma_col = rows[:, 0]
         centre = rows[:, header.index("p_win_centre")]
-        bound = dead_zone_sigma_bound((1.0, 2.0, 3.0), (0.38, 0.26, 0.36), 1.0)
+        bound = dead_zone_sigma_bound(ElectionModel((1.0, 2.0, 3.0), (0.38, 0.26, 0.36), 1.0, 1.0))
         below = centre[sigma_col < bound]
         above = centre[sigma_col > bound]
         if not np.all(below == 0.0):

@@ -1,7 +1,5 @@
 """Historic rate estimation and implied-rate inversion."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -25,6 +23,10 @@ from voteflow.errors import (
 from voteflow.outcomes import _win_kernel
 
 from conftest import POLARISED_P, POLARISED_X
+
+# the paper's two-candidate race a week out; the implied-rate scan does not
+# read its rate
+WEEK_OUT = ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0 / 52.0, 1.0)
 
 
 def simulated_series(sigma, seed, n_steps=10_000, horizon=1.0):
@@ -126,7 +128,7 @@ class TestHistoricEstimate:
 
 class TestImpliedSigma:
     def test_inverts_the_two_candidate_paper_value(self):
-        solutions = implied_sigma((0.0, 1.0), (0.55, 0.45), 1.0 / 52.0, 0, 0.8868693070858683)
+        solutions = implied_sigma(WEEK_OUT, 0, 0.8868693070858683)
         assert len(solutions) == 1
         assert solutions[0] == pytest.approx(1.2, abs=1e-6)
 
@@ -137,34 +139,36 @@ class TestImpliedSigma:
             p = float(rng.uniform(0.2, 0.8))
             horizon = float(rng.uniform(0.1, 1.5))
             target = two_candidate_win_probability(p, sigma_true, horizon)
-            solutions = implied_sigma((0.0, 1.0), (p, 1.0 - p), horizon, 0, target)
+            race = ElectionModel((0.0, 1.0), (p, 1.0 - p), horizon, 1.0)
+            solutions = implied_sigma(race, 0, target)
             assert any(abs(s - sigma_true) < 1e-6 for s in solutions)
 
-    def test_leader_floor_on_a_bounded_scan_is_unattainable(self):
+    def test_leader_floor_on_a_bounded_scan_is_unattainable(self, monkeypatch):
         # the leader's win probability decreases toward p as the rate grows
         # but stays strictly above it for every finite rate on this scan
-        with pytest.raises(Unattainable):
-            implied_sigma((0.0, 1.0), (0.55, 0.45), 1.0 / 52.0, 0, 0.55, sigma_max=50.0)
+        monkeypatch.setattr("voteflow.calibration.SCAN_SIGMA_MAX", 50.0)
+        with pytest.raises(Unattainable, match=r"\[0.0001, 50.0\]"):
+            implied_sigma(WEEK_OUT, 0, 0.55)
 
     def test_leader_floor_on_the_full_scan_finds_the_float_plateau(self):
         # past sigma ~ 600 the probability rounds to exactly p in floating
         # point; the scan then reports the plateau edge as a large solution
-        solutions = implied_sigma((0.0, 1.0), (0.55, 0.45), 1.0 / 52.0, 0, 0.55)
+        solutions = implied_sigma(WEEK_OUT, 0, 0.55)
         assert all(s > 50.0 for s in solutions)
         for s in solutions:
             assert two_candidate_win_probability(0.55, s, 1.0 / 52.0) == 0.55
 
-    def test_dead_zone_target_returns_the_bound_as_supremum(self):
-        solutions = implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 0.0)
-        bound = dead_zone_sigma_bound(POLARISED_X, POLARISED_P, 1.0)
+    def test_dead_zone_target_returns_the_bound_as_supremum(self, polarised_model):
+        solutions = implied_sigma(polarised_model, 1, 0.0)
+        bound = dead_zone_sigma_bound(polarised_model)
         assert any(abs(s - bound) < 1e-6 for s in solutions)
 
-    def test_multiple_solutions_when_win_probability_is_humped(self):
+    def test_multiple_solutions_when_win_probability_is_humped(self, polarised_model):
         # the right candidate's win probability climbs from 0, peaks near
         # rate 0.5, then falls back toward its prior: interior targets
         # between the asymptote and the peak are hit at least twice
         target = 0.45
-        solutions = implied_sigma(POLARISED_X, POLARISED_P, 1.0, 2, target)
+        solutions = implied_sigma(polarised_model, 2, target)
         assert len(solutions) >= 2
         for s in solutions:
             m = ElectionModel(POLARISED_X, POLARISED_P, 1.0, s)
@@ -172,9 +176,10 @@ class TestImpliedSigma:
 
     def test_target_met_on_the_whole_scan_returns_its_ends(self):
         # a lone candidate wins with probability 1 at every rate
-        assert implied_sigma((0.0, 1.0), (1.0, 0.0), 1.0, 0, 1.0) == (1e-4, 1e3)
+        lone = ElectionModel((0.0, 1.0), (1.0, 0.0), 1.0, 1.0)
+        assert implied_sigma(lone, 0, 1.0) == (1e-4, 1e3)
 
-    def test_all_brackets_share_one_bisection(self, monkeypatch):
+    def test_all_brackets_share_one_bisection(self, polarised_model, monkeypatch):
         # the humped target has two brackets; each bisection step evaluates
         # both midpoints in one kernel call, so the call count is one scan
         # plus the steps of the slower bracket, not the sum over brackets
@@ -185,48 +190,19 @@ class TestImpliedSigma:
             return _win_kernel(*args)
 
         monkeypatch.setattr("voteflow.calibration._win_kernel", counted)
-        assert len(implied_sigma(POLARISED_X, POLARISED_P, 1.0, 2, 0.45)) == 2
+        assert len(implied_sigma(polarised_model, 2, 0.45)) == 2
         assert len(calls) <= 25
 
     def test_tiny_target_is_bracketed_by_the_sides_of_the_scan(self):
         # the trailing candidate's win probability climbs from 0 through
         # 1e-200; the product of two such gaps underflows to 0, so a bracket
         # must come from the sides of the gaps, not the sign of their product
-        (sigma,) = implied_sigma((0.0, 1.0), (0.55, 0.45), 1.0, 1, 1e-200)
+        (sigma,) = implied_sigma(ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0, 1.0), 1, 1e-200)
         model = ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0, sigma)
         assert win_probabilities(model).win_probs[1] == pytest.approx(1e-200, rel=1e-3)
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8], ids=["nan", "zero", "negative"])
-    def test_bad_tolerance_rejected(self, tol):
-        # a NaN tolerance used to skip the bisection and return the unrefined
-        # scan midpoint (0.2111,) for this humped target
-        with pytest.raises(ValidationError, match="tol"):
-            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 2, 0.45, tol=tol)
-
-    def test_empty_scan_rejected(self):
-        with pytest.raises(ValidationError, match="scan_points"):
-            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 0.0, scan_points=0)
-
-    @pytest.mark.parametrize(
-        "bounds",
-        [(math.nan, 1e3), (1e-4, math.inf), (-math.inf, 1e3), (1e-4, math.nan)],
-        ids=["min-nan", "max-inf", "min-minus-inf", "max-nan"],
-    )
-    def test_non_finite_scan_bounds_rejected(self, bounds):
-        with pytest.raises(ValidationError, match="sigma_min <= sigma_max"):
-            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 0.0, *bounds)
-
-    @pytest.mark.parametrize("sigma_min", [0.0, -1.0])
-    def test_non_positive_scan_start_rejected(self, sigma_min):
-        with pytest.raises(ValidationError, match="0 < sigma_min"):
-            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 0.0, sigma_min=sigma_min)
-
-    def test_reversed_scan_bounds_rejected(self):
-        with pytest.raises(ValidationError, match="sigma_min <= sigma_max"):
-            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 0.0, sigma_min=2.0, sigma_max=1.0)
-
-    def test_invalid_target_rejected(self):
+    def test_invalid_target_rejected(self, polarised_model):
         with pytest.raises(ValidationError):
-            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 1, 1.5)
+            implied_sigma(polarised_model, 1, 1.5)
         with pytest.raises(ValidationError):
-            implied_sigma(POLARISED_X, POLARISED_P, 1.0, 5, 0.5)
+            implied_sigma(polarised_model, 5, 0.5)

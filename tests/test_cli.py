@@ -762,6 +762,22 @@ def test_coincident_thresholds_are_silent_by_default(argv):
     assert "coincident" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ("five_candidate_peak_support.json", ["maxsupport"]),
+        ("two_candidate_week_out.json", ["calibrate"]),
+        ("win_vs_support.json", ["sweep", "--axis", "priors"]),
+    ],
+    ids=["maxsupport", "calibrate", "sweep-priors"],
+)
+def test_subcommand_builds_one_model_per_race(built_models, capsys, config, argv):
+    # the config's race is validated once, and every analysis of the
+    # subcommand reads that one model
+    assert main([argv[0], "--config", str(CONFIG_DIR / config), *argv[1:]]) == 0
+    assert len(built_models) == 1
+
+
 # --------------------------------------------------------------------------
 # contract over the bundled configs: strict output, and one report in two formats
 # --------------------------------------------------------------------------

@@ -51,7 +51,7 @@ class TestConstruction:
             ElectionModel((2.0, 1.0), (0.5, 0.5), 1.0, 1.0)
 
     def test_unnormalized_priors_rejected(self):
-        with pytest.raises(PriorsNotNormalized):
+        with pytest.raises(PriorsNotNormalized, match="sum to 1.1,"):
             ElectionModel((0.0, 1.0), (0.5, 0.6), 1.0, 1.0)
 
     def test_negative_prior_rejected(self):

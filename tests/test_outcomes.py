@@ -182,6 +182,19 @@ class TestOrderingPartition:
         for cell in part.cells:
             assert cell.ordering[-1] == 1
 
+    @pytest.mark.parametrize("scale", [1e200, 0.5e308])
+    def test_far_positions_ranked_from_the_crossing_table(self, scale):
+        # at positions near 1e200 the log weights' x^2 V / 2 terms overflow,
+        # and probes one unit beyond the outer boundaries round back onto
+        # them; near 1e308 the sum of two boundaries does too. The crossing
+        # table still ranks every cell, with no warning
+        model = ElectionModel(tuple(scale * x for x in POLARISED_X), POLARISED_P, 1.0, 1.0)
+        cells = ordering_partition(model).cells
+        assert [c.ordering for c in cells] == [(0, 1, 2), (1, 0, 2), (1, 2, 0), (2, 1, 0)]
+        assert win_probabilities(model).ordering_probs == pytest.approx(
+            {(0, 1, 2): 0.38, (1, 0, 2): 0.13, (1, 2, 0): 0.13, (2, 1, 0): 0.36}, abs=1e-12
+        )
+
 
 class TestIntervalProbability:
     def test_whole_line_is_certain(self, polarised_model):

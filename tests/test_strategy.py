@@ -11,7 +11,6 @@ from voteflow import (
     ElectionModel,
     crossing_threshold,
     dead_zone_sigma_bound,
-    implied_sigma,
     is_dead_zone,
     max_support_curve,
     max_support_point,
@@ -26,7 +25,6 @@ from voteflow import (
 from voteflow.errors import (
     NoBracket,
     NonIncreasingPositions,
-    NonPositiveHorizon,
     NonPositiveRate,
     NotInteriorCandidate,
     PriorsNotNormalized,
@@ -152,9 +150,15 @@ class TestDeadZone:
         assert dead_seen > 20 and alive_seen > 20
 
 
+    def test_centre_bound_is_read_from_the_callers_model(self, polarised_model, built_models):
+        report = is_dead_zone(polarised_model, 1)
+        assert report.sigma_bound == pytest.approx(ORACLE_BOUND_POLARISED, abs=1e-8)
+        assert built_models == []
+
+
 class TestDeadZoneSigmaBound:
     def test_polarised_bound_value(self):
-        bound = dead_zone_sigma_bound(POLARISED_X, POLARISED_P, 1.0)
+        bound = dead_zone_sigma_bound(polarised())
         assert bound == pytest.approx(ORACLE_BOUND_POLARISED, abs=1e-8)
         assert bound > 0.25  # the locked-out reference rate sits below the bound
 
@@ -162,13 +166,14 @@ class TestDeadZoneSigmaBound:
         assert centre_dead_by_thresholds(polarised_low_info)
 
     def test_bound_grows_as_centre_support_vanishes(self):
-        wide = dead_zone_sigma_bound((1.0, 2.0, 3.0), (0.495, 0.01, 0.495), 1.0)
-        narrow = dead_zone_sigma_bound((1.0, 2.0, 3.0), (0.37, 0.26, 0.37), 1.0)
+        wide = dead_zone_sigma_bound(ElectionModel(POLARISED_X, (0.495, 0.01, 0.495), 1.0, 1.0))
+        narrow = dead_zone_sigma_bound(ElectionModel(POLARISED_X, (0.37, 0.26, 0.37), 1.0, 1.0))
         assert wide is not None and narrow is not None
         assert wide > narrow
 
     def test_dominant_centre_has_no_dead_zone(self):
-        assert dead_zone_sigma_bound((1.0, 2.0, 3.0), (0.01, 0.98, 0.01), 1.0) is None
+        model = ElectionModel((1.0, 2.0, 3.0), (0.01, 0.98, 0.01), 1.0, 1.0)
+        assert dead_zone_sigma_bound(model) is None
 
     def test_bound_brackets_the_flip(self):
         rng = np.random.default_rng(9)
@@ -183,34 +188,23 @@ class TestDeadZoneSigmaBound:
             gaps = rng.uniform(0.3, 2.0, size=2)
             x = (0.0, float(gaps[0]), float(gaps[0] + gaps[1]))
             horizon = float(rng.uniform(0.3, 2.0))
-            bound = dead_zone_sigma_bound(x, (p1, p2, p3), horizon)
+            race = ElectionModel(x, (p1, p2, p3), horizon, 1.0)
+            bound = dead_zone_sigma_bound(race)
             if bound is None:
                 continue
-            below = ElectionModel(x, (p1, p2, p3), horizon, 0.99 * bound)
-            above = ElectionModel(x, (p1, p2, p3), horizon, 1.01 * bound)
+            below = race.with_schedule(0.99 * bound)
+            above = race.with_schedule(1.01 * bound)
             assert is_dead_zone(below, 1).is_dead
             assert not is_dead_zone(above, 1).is_dead
             tested += 1
 
     def test_requires_three_candidates(self):
         with pytest.raises(RequiresThreeCandidates):
-            dead_zone_sigma_bound((0.0, 1.0), (0.5, 0.5), 1.0)
+            dead_zone_sigma_bound(ElectionModel((0.0, 1.0), (0.5, 0.5), 1.0, 1.0))
 
     def test_zero_prior_rejected(self):
         with pytest.raises(ZeroPrior):
-            dead_zone_sigma_bound((0.0, 1.0, 2.0), (0.5, 0.0, 0.5), 1.0)
-
-    @pytest.mark.parametrize(
-        "positions, priors, horizon, error",
-        [
-            ((0.0, 2.0, 1.0), (0.4, 0.2, 0.4), 1.0, NonIncreasingPositions),
-            ((0.0, 1.0, 2.0), (0.5, 0.3, 0.3), 1.0, PriorsNotNormalized),
-            ((0.0, 1.0, 2.0), (0.4, 0.2, 0.4), 0.0, NonPositiveHorizon),
-        ],
-    )
-    def test_invalid_inputs_rejected(self, positions, priors, horizon, error):
-        with pytest.raises(error):
-            dead_zone_sigma_bound(positions, priors, horizon)
+            dead_zone_sigma_bound(ElectionModel((0.0, 1.0, 2.0), (0.5, 0.0, 0.5), 1.0, 1.0))
 
     def test_report_carries_the_bound(self, polarised_low_info):
         report = is_dead_zone(polarised_low_info, 1)
@@ -268,7 +262,7 @@ class TestMaxSupport:
         # interior peaks below 1, rising with the information rate
         grid = tuple(0.2 * i for i in range(1, 11))
         table = max_support_curve(
-            (1.0, 2.0, 3.0, 4.0, 5.0), (0.2, 0.2, 0.2, 0.2, 0.2), 1.0, grid
+            ElectionModel((1.0, 2.0, 3.0, 4.0, 5.0), (0.2, 0.2, 0.2, 0.2, 0.2), 1.0, 1.0), grid
         )
         for k in (1, 2, 3):
             column = table.values[:, k]
@@ -284,7 +278,7 @@ class TestMaxSupport:
         # on its left at any rate and so reads 1
         positions, priors, horizon = (0.0, 0.7, 1.5, 2.6, 3.1), (0.0, 0.3, 0.35, 0.0, 0.35), 0.8
         grid = (0.1, 0.4, 1.0, 2.0, 3.0)
-        table = max_support_curve(positions, priors, horizon, grid)
+        table = max_support_curve(ElectionModel(positions, priors, horizon, 1.0), grid)
         np.testing.assert_array_equal(table.values[:, [0, 1, 3, 4]], [[0.0, 1.0, 0.0, 1.0]] * 5)
         for sigma, peak in zip(grid, table.values[:, 2]):
             model = ElectionModel(positions, priors, horizon, sigma)
@@ -358,7 +352,7 @@ class TestSweepSigma:
                 sweep_positions(model, [variant], grid).values, np.subtract(moved, exact)
             )
             points = [tuple(rng.dirichlet(np.ones(model.n_candidates))) for _ in range(5)]
-            table = sweep_priors(model.positions, model.schedule, model.horizon, points)
+            table = sweep_priors(model, points)
             np.testing.assert_array_equal(
                 table.values,
                 [
@@ -368,7 +362,7 @@ class TestSweepSigma:
                     for p in points
                 ],
             )
-            curve = max_support_curve(model.positions, model.priors, model.horizon, grid)
+            curve = max_support_curve(model, grid)
             for s, row in zip(grid, curve.values):
                 for k in range(1, model.n_candidates - 1):
                     assert row[k] == max_support_point(model.with_schedule(s), k).pi_max
@@ -430,19 +424,19 @@ class TestSweepPositions:
 
 class TestSweepPriors:
     def test_certain_candidate_wins_certainly(self):
-        table = sweep_priors(POLARISED_X, 1.0, 1.0, [(1.0, 0.0, 0.0)])
+        table = sweep_priors(polarised(), [(1.0, 0.0, 0.0)])
         np.testing.assert_allclose(table.values[0], (1.0, 0.0, 0.0), atol=1e-12)
 
     def test_rows_sum_to_one(self):
-        table = sweep_priors(POLARISED_X, 1.0, 1.0, step=0.2)
+        table = sweep_priors(polarised(), step=0.2)
         np.testing.assert_allclose(table.values.sum(axis=1), 1.0, atol=1e-10)
 
     def test_centre_zero_region_nonempty(self):
-        table = sweep_priors(POLARISED_X, 1.0, 1.0, step=0.05)
+        table = sweep_priors(polarised(), step=0.05)
         assert (table.values[:, 1] == 0.0).any()
 
     def test_two_candidate_grid(self):
-        table = sweep_priors((0.0, 1.0), 1.2, 1.0 / 52.0, step=0.25)
+        table = sweep_priors(ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0 / 52.0, 1.2), step=0.25)
         assert len(table.axis_values) == 5
         assert table.axis_values[0] == (0.0, 1.0)
         assert table.values[2, 0] == pytest.approx(0.5, abs=1e-12)
@@ -467,17 +461,17 @@ BAD_AXIS_ENTRIES = {
         lambda: sweep_sigma(polarised(), [1.0, math.nan]), NonPositiveRate, "got nan"
     ),
     "prior-row-sum": (
-        lambda: sweep_priors(POLARISED_X, 1.0, 1.0, [POLARISED_P, (0.5, 0.3, 0.3)]),
+        lambda: sweep_priors(polarised(), [POLARISED_P, (0.5, 0.3, 0.3)]),
         PriorsNotNormalized,
         "sum to 1.1,",
     ),
     "prior-row-negative": (
-        lambda: sweep_priors(POLARISED_X, 1.0, 1.0, [POLARISED_P, (0.5, -0.1, 0.6)]),
+        lambda: sweep_priors(polarised(), [POLARISED_P, (0.5, -0.1, 0.6)]),
         PriorsNotNormalized,
         "(0.5, -0.1, 0.6)",
     ),
     "prior-row-short": (
-        lambda: sweep_priors(POLARISED_X, 1.0, 1.0, [POLARISED_P, (0.5, 0.5)]),
+        lambda: sweep_priors(polarised(), [POLARISED_P, (0.5, 0.5)]),
         PriorsNotNormalized,
         "2 priors for 3",
     ),
@@ -492,14 +486,9 @@ BAD_AXIS_ENTRIES = {
         "(3.0, 2.0, 1.0)",
     ),
     "curve-rate-negative": (
-        lambda: max_support_curve(POLARISED_X, POLARISED_P, 1.0, [1.0, -1.0]),
+        lambda: max_support_curve(polarised(), [1.0, -1.0]),
         NonPositiveRate,
         "got -1.0",
-    ),
-    "implied-priors": (
-        lambda: implied_sigma(POLARISED_X, (0.4, 0.4, 0.4), 1.0, 1, 0.2),
-        PriorsNotNormalized,
-        "sum to 1.2000000000000002,",
     ),
 }
 
