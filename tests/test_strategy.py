@@ -9,8 +9,10 @@ import pytest
 import voteflow.model
 from voteflow import (
     ElectionModel,
+    InfoSchedule,
     crossing_threshold,
     dead_zone_sigma_bound,
+    implied_sigma,
     is_dead_zone,
     max_support_curve,
     max_support_point,
@@ -25,6 +27,7 @@ from voteflow import (
 from voteflow.errors import (
     NoBracket,
     NonIncreasingPositions,
+    NonPositiveHorizon,
     NonPositiveRate,
     NotInteriorCandidate,
     PriorsNotNormalized,
@@ -205,6 +208,19 @@ class TestDeadZoneSigmaBound:
     def test_zero_prior_rejected(self):
         with pytest.raises(ZeroPrior):
             dead_zone_sigma_bound(ElectionModel((0.0, 1.0, 2.0), (0.5, 0.0, 0.5), 1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "positions, priors, horizon, error",
+        [
+            ((0.0, 2.0, 1.0), (0.4, 0.2, 0.4), 1.0, NonIncreasingPositions),
+            ((0.0, 1.0, 2.0), (0.5, 0.3, 0.3), 1.0, PriorsNotNormalized),
+            ((0.0, 1.0, 2.0), (0.4, 0.2, 0.4), 0.0, NonPositiveHorizon),
+        ],
+    )
+    def test_invalid_inputs_rejected(self, positions, priors, horizon, error):
+        # a bad race is rejected where it is built, before the bound reads it
+        with pytest.raises(error):
+            dead_zone_sigma_bound(ElectionModel(positions, priors, horizon, 1.0))
 
     def test_report_carries_the_bound(self, polarised_low_info):
         report = is_dead_zone(polarised_low_info, 1)
@@ -490,6 +506,11 @@ BAD_AXIS_ENTRIES = {
         NonPositiveRate,
         "got -1.0",
     ),
+    "implied-priors": (
+        lambda: implied_sigma(ElectionModel(POLARISED_X, (0.4, 0.4, 0.4), 1.0, 1.0), 1, 0.2),
+        PriorsNotNormalized,
+        "sum to 1.2000000000000002,",
+    ),
 }
 
 
@@ -502,3 +523,34 @@ def test_batch_paths_reject_a_bad_axis_entry(evaluate, error, shown):
     with pytest.raises(error) as caught:
         evaluate()
     assert shown in str(caught.value)
+
+
+# each race analysis holds the caller's model fixed but for one part, the
+# axis it varies: the schedule for the rate analyses, the priors for
+# sweep_priors. It reads that part nowhere and builds no model of its own
+RACE_ANALYSES = {
+    "dead-zone-bound": (dead_zone_sigma_bound, "schedule"),
+    "max-support-curve": (lambda m: max_support_curve(m, (0.5, 1.0, 2.0)).values, "schedule"),
+    "sweep-priors": (lambda m: sweep_priors(m, step=0.25).values, "priors"),
+    "implied-sigma": (lambda m: implied_sigma(m, 2, 0.45), "schedule"),
+}
+
+
+@pytest.mark.parametrize(
+    "analyse, varied", RACE_ANALYSES.values(), ids=RACE_ANALYSES.keys()
+)
+def test_race_analysis_ignores_the_part_it_varies(analyse, varied):
+    race = polarised()
+    if varied == "schedule":
+        other = race.with_schedule(InfoSchedule.piecewise((0.5,), (0.3, 2.0)))
+    else:
+        other = ElectionModel(POLARISED_X, (0.2, 0.5, 0.3), 1.0, 1.0)
+    np.testing.assert_array_equal(analyse(other), analyse(race))
+
+
+@pytest.mark.parametrize(
+    "analyse, varied", RACE_ANALYSES.values(), ids=RACE_ANALYSES.keys()
+)
+def test_race_analysis_builds_no_model(polarised_model, built_models, analyse, varied):
+    analyse(polarised_model)
+    assert built_models == []
