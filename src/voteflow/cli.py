@@ -209,10 +209,16 @@ def load_config(path: str) -> ScenarioConfig:
             raise ConfigError(f"{path}.sweep: expected an object")
         if "sigma_grid" in sweep:
             sigma_grid = _float_list(sweep["sigma_grid"], f"{path}.sweep.sigma_grid")
+            if not sigma_grid:
+                raise ConfigError(f"{path}.sweep.sigma_grid: expected at least one rate")
             if any(s <= 0 for s in sigma_grid):
                 raise ConfigError(f"{path}.sweep.sigma_grid: entries must be > 0")
         if "prior_grid" in sweep:
             prior_grid = _vectors(sweep["prior_grid"], f"{path}.sweep.prior_grid")
+            if not prior_grid:
+                raise ConfigError(f"{path}.sweep.prior_grid: expected at least one vector")
+            if "prior_grid_step" in sweep:
+                raise ConfigError(f"{path}.sweep: give prior_grid or prior_grid_step, not both")
         if "prior_grid_step" in sweep:
             ctx = f"{path}.sweep.prior_grid_step"
             step = sweep["prior_grid_step"]

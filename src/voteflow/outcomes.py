@@ -76,9 +76,9 @@ class OrderingPartition:
 
     ``boundaries`` are the sorted distinct finite thresholds; ``cells`` tile
     the line left to right, one per gap (plus the two unbounded ends).
-    ``tie_count`` is the number of coincident thresholds that were merged
-    away (zero-width cells); coincidences happen only on measure-zero
-    parameter sets and do not affect probabilities.
+    ``tie_count`` is the number of finite thresholds that coincide exactly
+    with another, so leave no zero-width cell; coincidences happen only on
+    measure-zero parameter sets and do not affect probabilities.
     """
 
     boundaries: tuple[float, ...]
@@ -108,6 +108,7 @@ class OutcomeProbabilities:
 
     @cached_property
     def ordering_probs(self) -> dict[tuple[int, ...], float]:
+        # summed by ranking: a cell a few ulps wide can repeat another's
         probs: dict[tuple[int, ...], float] = {}
         for cell in self.partition.cells:
             p = interval_probability(self.model, cell.lower, cell.upper)
@@ -138,16 +139,14 @@ def ordering_partition(model: ElectionModel) -> OrderingPartition:
     """Partition accumulated-signal space by the election-day ranking.
 
     The boundaries and the ranking on each cell both come from the model's
-    crossing table. Each cell is ranked at one probe: its midpoint, halves
-    added so it stays finite, or the next float beyond the end boundary for
-    the unbounded cells. k's score
-    at probe y is the number of rivals it beats: for a < b, b beats a where
-    y > table[a, b] and a beats b where y < table[a, b]; a NaN entry (two
-    zero priors) beats no one. Scores are sorted stably, so zero-prior
-    candidates, who beat no one, rank last in index order. This works for
-    any number of candidates. Adjacent cells with identical rankings are
-    merged; exactly coincident thresholds count into ``tie_count`` and are
-    logged at DEBUG level.
+    crossing table, one cell per gap. k's score on a cell is the number of
+    rivals it beats: for a < b, a beats b left of table[a, b] and b beats a
+    right of it; a NaN entry (two zero priors) beats no one. Scores are
+    sorted stably, so zero-prior candidates rank last in index order. No
+    pair crosses inside a cell and one swaps at each boundary, so no two
+    cells share a ranking, except that a cell a few ulps wide, where
+    rounding misorders three candidates' crossings, can repeat another's.
+    Exactly coincident thresholds count into ``tie_count``, logged at DEBUG.
     """
     table = model.crossing_table
     # a zero prior crosses at +-inf
@@ -155,34 +154,22 @@ def ordering_partition(model: ElectionModel) -> OrderingPartition:
     boundaries = sorted(set(finite))
     tie_count = len(finite) - len(boundaries)
     if tie_count:
-        _log.debug("%d coincident crossing threshold(s); zero-width cells merged", tie_count)
+        _log.debug("%d coincident crossing threshold(s)", tie_count)
 
     edges = [-math.inf, *boundaries, math.inf]
-    mids = [0.5 * lo + 0.5 * hi for lo, hi in zip(boundaries, boundaries[1:])]  # no overflow
-    probes = np.array(
-        [math.nextafter(boundaries[0], -math.inf), *mids, math.nextafter(boundaries[-1], math.inf)]
-        if boundaries
-        else [0.0]
-    )
-    # each pair's wins as steps over the sorted probes, so the scores take
-    # O(probes x N) memory: a beats b at the probes below the crossing, b
-    # beats a at those above it; a NaN pair fails table == table
+    # each pair's wins as steps over the cells, so the scores take O(cells x
+    # N) memory: a pair flips at the edge holding its crossing, where -inf
+    # is the first edge and +inf the last; a NaN pair fails table == table
     a, b = np.nonzero(table == table)
-    crossing = table[a, b]
-    steps = np.zeros((len(probes) + 1, model.n_candidates))
+    flip = np.searchsorted(edges, table[a, b])
+    steps = np.zeros((len(edges), model.n_candidates))
     np.add.at(steps, (0, a), 1.0)
-    np.add.at(steps, (np.searchsorted(probes, crossing), a), -1.0)
-    np.add.at(steps, (np.searchsorted(probes, crossing, side="right"), b), 1.0)
+    np.add.at(steps, (flip, a), -1.0)
+    np.add.at(steps, (flip, b), 1.0)
     score = steps.cumsum(axis=0)[:-1]
     rankings = np.argsort(-score, axis=-1, kind="stable").tolist()
-    cells: list[PartitionCell] = []
-    for lo, hi, ordering in zip(edges, edges[1:], map(tuple, rankings)):
-        if cells and cells[-1].ordering == ordering:
-            cells[-1] = PartitionCell(cells[-1].lower, hi, ordering)
-        else:
-            cells.append(PartitionCell(lo, hi, ordering))
-    kept = tuple(c.upper for c in cells if math.isfinite(c.upper))
-    return OrderingPartition(boundaries=kept, cells=tuple(cells), tie_count=tie_count)
+    cells = tuple(map(PartitionCell, edges, edges[1:], map(tuple, rankings)))
+    return OrderingPartition(boundaries=tuple(boundaries), cells=cells, tie_count=tie_count)
 
 
 def interval_probability(model: ElectionModel, a: float, b: float) -> float:
@@ -220,7 +207,8 @@ def ordering_probability(model: ElectionModel, permutation) -> float:
         raise InvalidPermutation(
             f"{permutation!r} is not a strict ordering of all {model.n_candidates} candidates"
         )
-    return win_probabilities(model).ordering_probs.get(perm, 0.0)
+    cells = [c for c in ordering_partition(model).cells if c.ordering == perm]
+    return sum((interval_probability(model, c.lower, c.upper) for c in cells), 0.0)
 
 
 def win_probabilities(model: ElectionModel) -> OutcomeProbabilities:

@@ -19,6 +19,7 @@ order; simulating a prefix of the paths yields a prefix of the ensemble.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,6 +112,15 @@ class MonteCarloOutcome:
 PATH_STEP_BLOCK = 2048
 
 
+def _check_counts(seed, **counts) -> None:
+    """Reject a seed that is not an integer >= 0 or a count that is not an
+    integer >= 1, naming the argument; numpy would raise TypeError or a
+    bare ValueError, or draw nothing."""
+    for name, value, least in [("seed", seed, 0), *((k, v, 1) for k, v in counts.items())]:
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
@@ -129,8 +139,7 @@ def simulate_paths(
     Deterministic for a fixed seed; path i consumes its own stream derived
     from (seed, i), so the ensemble does not depend on generation order.
     """
-    if n_paths < 1 or n_steps < 1:
-        raise ValidationError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}")
+    _check_counts(seed, n_paths=n_paths, n_steps=n_steps)
     horizon = model.horizon
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)
@@ -208,8 +217,7 @@ def monte_carlo_win_probabilities(
     given the label is Normal(x_j V, V), so each path is a single Gaussian
     draw: the estimate carries sampling error but no discretization error.
     """
-    if n_paths < 1:
-        raise ValidationError(f"need n_paths >= 1, got {n_paths}")
+    _check_counts(seed, n_paths=n_paths)
     rng = np.random.default_rng(seed)
     cum_priors = np.cumsum(model.priors_arr)
     latent = _draw_latent(rng, cum_priors, n_paths)

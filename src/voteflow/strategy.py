@@ -360,7 +360,7 @@ def simplex_grid(
 
 def _simplex_cells(step: float) -> int:
     """Lattice cells per unit of a simplex grid step, which must divide 1."""
-    cells = 1.0 / step
+    cells = 1.0 / step if step > 0.0 else math.nan  # NaN fails the check below
     if not (1.0 <= cells < math.inf) or abs(round(cells) * step - 1.0) > 1e-9:
         raise ValidationError(f"step {step} must divide 1")
     return round(cells)
@@ -375,11 +375,13 @@ def sweep_priors(
 
     ``prior_points`` are full prior vectors, each checked as a model's
     priors; by default a regular simplex grid of the given step (two or
-    three candidates; ``simplex_grid``'s default step when None). Entries
-    are exactly zero where the candidate is locked out. The model's priors,
-    the axis varied here, are not read.
+    three candidates; ``simplex_grid``'s default step when None). Passing
+    both is rejected. Entries are exactly zero where the candidate is locked
+    out. The model's priors, the axis varied here, are not read.
     """
     n = model.n_candidates
+    if prior_points is not None and step is not None:
+        raise ValidationError("pass prior points or a simplex step, not both")
     if prior_points is None:
         prior_points = simplex_grid(n, step)
     points = tuple(tuple(float(p) for p in pt) for pt in prior_points)

@@ -211,19 +211,27 @@ class TestSweep:
         assert len(lines) == 1 + 15  # simplex with step 1/4 has C(6,2)=15 points
 
     @pytest.mark.parametrize(
-        "sweep, axis, header",
+        "sweep, argv, field",
         [
-            ({"sigma_grid": []}, "sigma", "sigma,p_win_left,p_win_centre,p_win_right"),
-            ({"prior_grid": []}, "priors", "p1,p2,p3,p_win_left,p_win_centre,p_win_right"),
+            ({"sigma_grid": []}, ["sweep", "--axis", "sigma"], ".sweep.sigma_grid: "),
+            ({"sigma_grid": []}, ["maxsupport"], ".sweep.sigma_grid: "),
+            ({"prior_grid": []}, ["sweep", "--axis", "priors"], ".sweep.prior_grid: "),
+            (
+                {"prior_grid": [[0.2, 0.3, 0.5]], "prior_grid_step": 0.5},
+                ["sweep", "--axis", "priors"],
+                ".sweep: give prior_grid or prior_grid_step, not both",
+            ),
         ],
-        ids=["sigma", "priors"],
+        ids=[
+            "empty-sigma-grid", "empty-sigma-grid-maxsupport", "empty-prior-grid", "grid-and-step"
+        ],
     )
-    def test_empty_grid_gives_header_only(self, tmp_path, capsys, sweep, axis, header):
-        payload = dict(POLARISED_CONFIG, sweep=sweep)
-        cfg = write_config(tmp_path, payload)
-        assert main(["sweep", "--config", cfg, "--axis", axis]) == 0
-        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
-        assert lines == [header]
+    def test_unused_or_empty_grid_is_rejected_at_its_field(
+        self, tmp_path, capsys, sweep, argv, field
+    ):
+        cfg = write_config(tmp_path, dict(POLARISED_CONFIG, sweep=sweep))
+        assert main([*argv, "--config", cfg]) == 2
+        assert field in capsys.readouterr().err
 
     def test_positions_axis_single_variant_header(self, tmp_path, capsys):
         payload = dict(POLARISED_CONFIG)
@@ -748,7 +756,7 @@ def test_repeated_in_process_calls_match_fresh_processes(tmp_path):
 )
 def test_coincident_thresholds_are_silent_by_default(argv):
     # equal spacing and equal priors make crossings coincide exactly; the
-    # merge is logged at DEBUG level, which is silent unless configured
+    # tie is logged at DEBUG level, which is silent unless configured
     env = dict(os.environ, PYTHONPATH=str(Path(voteflow.__file__).resolve().parents[1]))
     config = CONFIG_DIR / "five_candidate_peak_support.json"
     proc = subprocess.run(

@@ -154,7 +154,7 @@ class TestOrderingPartition:
 
     def test_exactly_coincident_thresholds_merge_silently(self, caplog):
         # symmetric spectrum with equal priors: the (0,3) and (1,2) crossings
-        # both sit at exactly 0; the merge is a DEBUG record, not a warning
+        # both sit at exactly 0; the tie is a DEBUG record, not a warning
         model = ElectionModel((-3.0, -1.0, 1.0, 3.0), (0.25, 0.25, 0.25, 0.25), 1.0, 1.0)
         with caplog.at_level(logging.DEBUG, logger="voteflow.outcomes"):
             part = ordering_partition(model)
@@ -168,13 +168,27 @@ class TestOrderingPartition:
 
     def test_trailing_candidates_ranked_where_their_supports_underflow(self):
         # past the (2, 3) crossing candidates 0 and 1 both have supports that
-        # underflow to 0 at the probe point; (1, 0) is still the true order
+        # underflow to 0; (1, 0) is still the true order
         model = ElectionModel(
             (0.1414, 1.9087, 3.492, 3.4968), (0.2536, 0.1382, 0.6015, 0.0067), 1.635, 1.0767
         )
         probs = win_probabilities(model).ordering_probs
         assert (2, 3, 0, 1) not in probs
         assert probs[(2, 3, 1, 0)] == pytest.approx(0.2339, abs=1e-4)
+
+    def test_cell_with_cycling_pairs_adds_to_its_ranking(self):
+        # all three crossings of this race meet at y = 0.5, but rounding puts
+        # one an ulp below; on the ulp-wide cell between, the pairs cycle and
+        # the stable sort repeats (0, 1, 2). Its mass adds to that ranking's
+        priors = (0.8437947344813396, 0.04201006613406606, 0.1141951993845945)
+        model = ElectionModel((-2.0, 0.0, 2.0), priors, 1.0, 1.0)
+        cells = ordering_partition(model).cells
+        assert [c.ordering for c in cells] == [(0, 1, 2), (0, 1, 2), (2, 1, 0)]
+        probs = win_probabilities(model).ordering_probs
+        whole = interval_probability(model, -math.inf, cells[1].upper)
+        assert probs[(0, 1, 2)] == pytest.approx(whole, rel=1e-15)
+        assert ordering_probability(model, (0, 1, 2)) == probs[(0, 1, 2)]
+        assert math.fsum(probs.values()) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_prior_candidate_ranks_last(self):
         model = ElectionModel((0.0, 1.0, 2.0), (0.6, 0.0, 0.4), 1.0, 1.0)
@@ -185,8 +199,7 @@ class TestOrderingPartition:
     @pytest.mark.parametrize("scale", [1e200, 0.5e308])
     def test_far_positions_ranked_from_the_crossing_table(self, scale):
         # at positions near 1e200 the log weights' x^2 V / 2 terms overflow,
-        # and probes one unit beyond the outer boundaries round back onto
-        # them; near 1e308 the sum of two boundaries does too. The crossing
+        # and near 1e308 so does the sum of two boundaries. The crossing
         # table still ranks every cell, with no warning
         model = ElectionModel(tuple(scale * x for x in POLARISED_X), POLARISED_P, 1.0, 1.0)
         cells = ordering_partition(model).cells

@@ -101,6 +101,24 @@ class TestSimulatePaths:
         assert errors[0] > errors[1] > errors[2]
 
 
+# a seed or count numpy itself would refuse with TypeError or a bare ValueError
+BAD_COUNTS = {
+    "paths-seed-negative": (lambda m: simulate_paths(m, 2, 3, -1), "seed"),
+    "paths-seed-fraction": (lambda m: simulate_paths(m, 2, 3, 1.5), "seed"),
+    "paths-n-paths-fraction": (lambda m: simulate_paths(m, 2.5, 3, 1), "n_paths"),
+    "paths-n-steps-float": (lambda m: simulate_paths(m, 2, 3.0, 1), "n_steps"),
+    "tally-seed-negative": (lambda m: monte_carlo_win_probabilities(m, 10, -1), "seed"),
+    "tally-seed-fraction": (lambda m: monte_carlo_win_probabilities(m, 10, 1.5), "seed"),
+    "tally-n-paths-float": (lambda m: monte_carlo_win_probabilities(m, 10.0, 1), "n_paths"),
+}
+
+
+@pytest.mark.parametrize("call, name", BAD_COUNTS.values(), ids=BAD_COUNTS.keys())
+def test_bad_seed_or_count_is_a_validation_error(polarised_model, call, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer >= "):
+        call(polarised_model)
+
+
 class TestPosteriorPaths:
     def test_initial_step_is_the_prior(self, polarised_model):
         ensemble = simulate_paths(polarised_model, 6, 20, seed=3)

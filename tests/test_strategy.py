@@ -461,6 +461,14 @@ class TestSweepPriors:
         with pytest.raises(ValidationError):
             simplex_grid(4, 0.5)
 
+    @pytest.mark.parametrize("step", [0.0, -0.25, math.nan, 0.3])
+    def test_step_must_divide_one(self, step):
+        with pytest.raises(ValidationError, match="must divide 1"):
+            sweep_priors(polarised(), step=step)
+
+    def test_prior_points_and_step_are_not_both_taken(self):
+        with pytest.raises(ValidationError, match="not both"):
+            sweep_priors(polarised(), [(0.2, 0.3, 0.5)], step=0.3)
 
 
 def polarised():

@@ -2,14 +2,15 @@
 
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 13
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 15
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
 axes, simulate with and without ``--seed 7``, calibrate, calibrate
-``--data`` on a fixed 201-row poll CSV, and calibrate on two target
-configs: the second candidate at win probability 0 and the last at 0.45)
-on each config in ``configs/``, in both formats, once to stdout and once
-to ``--out``. The poll CSVs and target configs are written to
-``OUT_DIR/polls/``. Each run leaves
+``--data`` on a fixed 201-row poll CSV, calibrate on two target configs:
+the second candidate at win probability 0 and the last at 0.45, and
+forecast and deadzone on a zero-first config: the first candidate's prior
+moved onto the second) on each config in ``configs/``, in both formats,
+once to stdout and once to ``--out``: 360 runs. The poll CSVs and derived
+configs are written to ``OUT_DIR/polls/``. Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
 ``stdout``, ``stderr``, ``exit_code`` and, for ``--out`` runs, the written
 ``report.<format>``. Runs use relative paths from OUT_DIR, so two checkouts'
@@ -57,6 +58,11 @@ INVOCATIONS = {
         f"calibrate-{label}": ["calibrate", "--config", f"polls/{{stem}}-{label}.json"]
         for label in TARGETS
     },
+    # no bundled config has a zero prior, whose crossings are infinite
+    **{
+        f"{name}-zero-first": [name, "--config", "polls/{stem}-zero-first.json"]
+        for name in ("forecast", "deadzone")
+    },
 }
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -91,6 +97,14 @@ def write_targets(config: dict, stem: str, polls: Path) -> None:
         (polls / f"{stem}-{label}.json").write_text(text + "\n", encoding="utf-8")
 
 
+def write_zero_first(config: dict, stem: str, polls: Path) -> None:
+    """The config with the first candidate's prior moved onto the second."""
+    first, second, *rest = config["candidates"]
+    moved = [{**first, "prior": 0.0}, {**second, "prior": first["prior"] + second["prior"]}]
+    text = json.dumps({**config, "candidates": [*moved, *rest]}, indent=2)
+    (polls / f"{stem}-zero-first.json").write_text(text + "\n", encoding="utf-8")
+
+
 def run_one(src: Path, out_dir: Path, stem: str, name: str, fmt: str, dest: str) -> None:
     run_dir = Path(stem) / name / f"{fmt}-{dest}"
     (out_dir / run_dir).mkdir(parents=True, exist_ok=True)
@@ -120,6 +134,7 @@ def record(src: Path, out_dir: Path) -> int:
         config = json.loads((CONFIG_DIR / f"{stem}.json").read_text(encoding="utf-8"))
         write_polls(config, out_dir / "polls" / f"{stem}.csv")
         write_targets(config, stem, out_dir / "polls")
+        write_zero_first(config, stem, out_dir / "polls")
     runs = [
         (stem, name, fmt, dest)
         for stem in stems
