@@ -9,105 +9,26 @@ of winning), plus the strategy analytics built on top: dead zones for
 centre-ground candidates, bounds on the information rate, peak attainable
 support, parameter sweeps, source aggregation, seeded Monte Carlo
 verification, and rate calibration from poll time series.
+
+Each module's ``__all__`` is its public list; the package re-exports them.
 """
 
-from . import errors
-from .aggregation import EffectiveChannel, SourceSet, aggregate_n, aggregate_two
-from .calibration import (
-    PollSeries,
-    SigmaEstimate,
-    estimate_sigma_historic,
-    implied_sigma,
-)
-from .model import (
-    ElectionModel,
-    InfoSchedule,
-    PosteriorDistribution,
-    condition_on_history,
-    effective_variance,
-    posterior,
-    posterior_support,
-)
-from .outcomes import (
-    CrossingThreshold,
-    OrderingPartition,
-    OutcomeProbabilities,
-    PartitionCell,
-    crossing_threshold,
-    interval_probability,
-    ordering_partition,
-    ordering_probability,
-    two_candidate_win_probability,
-    win_probabilities,
-)
-from .simulation import (
-    MonteCarloOutcome,
-    PathEnsemble,
-    TrajectoryBundle,
-    monte_carlo_win_probabilities,
-    posterior_paths,
-    simulate_paths,
-    winprob_paths,
-)
-from .strategy import (
-    DeadZoneReport,
-    MaxSupportReport,
-    SweepTable,
-    dead_zone_sigma_bound,
-    default_sigma_grid,
-    is_dead_zone,
-    max_support_curve,
-    max_support_point,
-    sweep_positions,
-    sweep_priors,
-    sweep_sigma,
-)
+from . import aggregation, calibration, errors, model, outcomes, simulation, strategy
+from .aggregation import *  # noqa: F401,F403
+from .calibration import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .outcomes import *  # noqa: F401,F403
+from .simulation import *  # noqa: F401,F403
+from .strategy import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "errors",
-    "ElectionModel",
-    "InfoSchedule",
-    "PosteriorDistribution",
-    "effective_variance",
-    "posterior",
-    "posterior_support",
-    "condition_on_history",
-    "CrossingThreshold",
-    "PartitionCell",
-    "OrderingPartition",
-    "OutcomeProbabilities",
-    "crossing_threshold",
-    "ordering_partition",
-    "interval_probability",
-    "ordering_probability",
-    "win_probabilities",
-    "two_candidate_win_probability",
-    "SourceSet",
-    "EffectiveChannel",
-    "aggregate_two",
-    "aggregate_n",
-    "DeadZoneReport",
-    "MaxSupportReport",
-    "SweepTable",
-    "is_dead_zone",
-    "dead_zone_sigma_bound",
-    "max_support_point",
-    "max_support_curve",
-    "sweep_sigma",
-    "sweep_positions",
-    "sweep_priors",
-    "default_sigma_grid",
-    "PathEnsemble",
-    "TrajectoryBundle",
-    "MonteCarloOutcome",
-    "simulate_paths",
-    "posterior_paths",
-    "winprob_paths",
-    "monte_carlo_win_probabilities",
-    "PollSeries",
-    "SigmaEstimate",
-    "estimate_sigma_historic",
-    "implied_sigma",
+    *model.__all__,
+    *outcomes.__all__,
+    *aggregation.__all__,
+    *strategy.__all__,
+    *simulation.__all__,
+    *calibration.__all__,
 ]

@@ -81,7 +81,8 @@ class PollSeries:
         worst = np.argmax(np.abs(row_sums - 1.0))
         if abs(row_sums[worst] - 1.0) > _ROW_SUM_TOL:
             raise ValidationError(
-                f"support row {worst} sums to {row_sums[worst]!r}, not 1 within {_ROW_SUM_TOL}"
+                f"support row at t={float(times[worst])!r} sums to {float(row_sums[worst])!r},"
+                f" not 1 within {_ROW_SUM_TOL}"
             )
         if np.any(np.diff(positions) <= 0.0):
             raise ValidationError("positions must be strictly increasing")

@@ -20,6 +20,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TextIO
@@ -31,6 +32,7 @@ from .calibration import PollSeries, estimate_sigma_historic, implied_sigma
 from .errors import (
     ConfigError,
     CsvDataError,
+    DegenerateSeriesWarning,
     MissingSweepBlock,
     NonIncreasingPositions,
     NonPositiveRate,
@@ -190,8 +192,10 @@ def load_config(path: str) -> ScenarioConfig:
         if not isinstance(entry, dict):
             raise ConfigError(f"{ctx}: expected an object")
         name = _require(entry, "name", str, ctx)
-        if "," in name or not name:
-            raise ConfigError(f"{ctx}.name: must be nonempty and comma-free, got {name!r}")
+        if "," in name or not name or not name.isprintable():
+            raise ConfigError(
+                f"{ctx}.name: must be nonempty, printable and comma-free, got {name!r}"
+            )
         names.append(name)
         positions.append(_require(entry, "position", float, ctx))
         priors.append(_require(entry, "prior", float, ctx))
@@ -626,11 +630,10 @@ def read_poll_csv(path: str, names: Sequence[str], positions: Sequence[float]) -
             raise CsvDataError(f"{path} row {row_no}: non-finite value in {line!r}")
         times.append(values[0])
         supports.append([values[1:][i] for i in order])
-    return PollSeries(
-        times=np.asarray(times),
-        supports=np.asarray(supports),
-        positions=np.asarray(positions, dtype=float),
-    )
+    try:
+        return PollSeries(times=times, supports=supports, positions=positions)
+    except ValidationError as exc:
+        raise CsvDataError(f"{path}: {exc}") from exc
 
 
 def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
@@ -642,7 +645,14 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
     rows = []
     if args.data is not None:
         series = read_poll_csv(args.data, cfg.names, cfg.positions)
-        est = estimate_sigma_historic(series)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegenerateSeriesWarning)
+            est = estimate_sigma_historic(series)
+        for w in caught:  # the report's sigma of 0 says it; stderr stays silent
+            if issubclass(w.category, DegenerateSeriesWarning):
+                _log.info("%s", w.message)
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         obj["historic"] = {
             "sigma": est.sigma,
             "standard_error": est.standard_error,

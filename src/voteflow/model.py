@@ -41,9 +41,7 @@ from .errors import (
 __all__ = [
     "InfoSchedule",
     "ElectionModel",
-    "PosteriorDistribution",
     "effective_variance",
-    "posterior",
     "posterior_support",
     "condition_on_history",
 ]
@@ -279,20 +277,6 @@ class ElectionModel:
         return ElectionModel(self.positions, self.priors, self.horizon, _as_schedule(schedule))
 
 
-@dataclass(frozen=True, eq=False)
-class PosteriorDistribution:
-    """Conditional support rates at one (time, accumulated signal) point."""
-
-    time: float
-    signal: float
-    support: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.support, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "support", arr)
-
-
 def effective_variance(schedule: ScheduleLike, t0: float, t1: float) -> float:
     """Accumulated squared information flow rate over [t0, t1].
 
@@ -376,12 +360,6 @@ def _softmax(log_weight: np.ndarray) -> np.ndarray:
     w = np.exp(log_weight - np.max(log_weight, axis=-1, keepdims=True))
     w /= np.sum(w, axis=-1, keepdims=True)
     return w
-
-
-def posterior(model: ElectionModel, y: float, t: float) -> PosteriorDistribution:
-    """The conditional support vector at time t given accumulated signal y."""
-    support = posterior_support(model, float(y), t)
-    return PosteriorDistribution(time=float(t), signal=float(y), support=support)
 
 
 def condition_on_history(model: ElectionModel, y: float, t: float) -> ElectionModel:

@@ -34,7 +34,6 @@ from .gaussian import normal_mass, normal_masses
 from .model import ElectionModel, _crossings, _lead_intervals
 
 __all__ = [
-    "CrossingThreshold",
     "PartitionCell",
     "OrderingPartition",
     "OutcomeProbabilities",
@@ -47,17 +46,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class CrossingThreshold:
-    """Accumulated-signal value at which candidates ``first`` and ``second``
-    have equal election-day support. Symmetric in the pair; infinite when one
-    of the two priors is zero (the other can never be overtaken)."""
-
-    first: int
-    second: int
-    value: float
 
 
 @dataclass(frozen=True)
@@ -108,17 +96,12 @@ class OutcomeProbabilities:
 
     @cached_property
     def ordering_probs(self) -> dict[tuple[int, ...], float]:
-        # summed by ranking: a cell a few ulps wide can repeat another's
-        probs: dict[tuple[int, ...], float] = {}
-        for cell in self.partition.cells:
-            p = interval_probability(self.model, cell.lower, cell.upper)
-            probs[cell.ordering] = probs.get(cell.ordering, 0.0) + p
-        return probs
+        return _ordering_sums(self.model, self.partition)
 
 
-def crossing_threshold(model: ElectionModel, k: int, j: int) -> CrossingThreshold:
+def crossing_threshold(model: ElectionModel, k: int, j: int) -> float:
     """Threshold in accumulated-signal space where k's and j's election-day
-    support rates are equal.
+    support rates are equal (symmetric in the pair).
 
         value = (log p_j - log p_k) / (x_k - x_j) + (x_k + x_j) V / 2
 
@@ -131,8 +114,7 @@ def crossing_threshold(model: ElectionModel, k: int, j: int) -> CrossingThreshol
     n = model.n_candidates
     if k == j or not (0 <= k < n) or not (0 <= j < n):
         raise InvalidPermutation(f"need distinct candidate indices in [0, {n}), got ({k}, {j})")
-    value = model.crossing_table[min(k, j), max(k, j)]
-    return CrossingThreshold(first=k, second=j, value=float(value))
+    return float(model.crossing_table[min(k, j), max(k, j)])
 
 
 def ordering_partition(model: ElectionModel) -> OrderingPartition:
@@ -207,8 +189,20 @@ def ordering_probability(model: ElectionModel, permutation) -> float:
         raise InvalidPermutation(
             f"{permutation!r} is not a strict ordering of all {model.n_candidates} candidates"
         )
-    cells = [c for c in ordering_partition(model).cells if c.ordering == perm]
-    return sum((interval_probability(model, c.lower, c.upper) for c in cells), 0.0)
+    return _ordering_sums(model, ordering_partition(model)).get(perm, 0.0)
+
+
+def _ordering_sums(
+    model: ElectionModel, partition: OrderingPartition
+) -> dict[tuple[int, ...], float]:
+    """Probability of each ranking realized on ``partition``: the
+    ``interval_probability`` of its cells, summed in cell order (a cell a few
+    ulps wide can repeat another's ranking)."""
+    probs: dict[tuple[int, ...], float] = {}
+    for cell in partition.cells:
+        p = interval_probability(model, cell.lower, cell.upper)
+        probs[cell.ordering] = probs.get(cell.ordering, 0.0) + p
+    return probs
 
 
 def win_probabilities(model: ElectionModel) -> OutcomeProbabilities:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -99,6 +100,16 @@ class TestExitCodes:
     def test_calibrate_without_inputs_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, POLARISED_CONFIG)
         assert main(["calibrate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("name", ["a\nb", "tab\there", "\x1b[31mred"])
+    def test_unprintable_name_is_config_error(self, tmp_path, capsys, name):
+        payload = polarised_payload()
+        payload["candidates"][1]["name"] = name
+        cfg = write_config(tmp_path, payload)
+        assert main(["forecast", "--config", cfg, "--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{cfg}.candidates[1].name: must be nonempty, printable and comma-free" in err
 
     def test_duplicate_names_rejected(self, tmp_path, capsys):
         payload = dict(POLARISED_CONFIG)
@@ -417,6 +428,45 @@ class TestCalibrate:
         path = tmp_path / "bad.csv"
         path.write_text("t,a,b,c\n0.0,0.38,0.26,0.36\n", encoding="utf-8")
         assert main(["calibrate", "--config", cfg, "--data", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0.0,0.38,0.26,0.36", "0.1,0.5,0.3,0.3", "0.2,0.4,0.3,0.3"],
+             "support row at t=0.1 sums to 1.1, not 1 within 1e-06"),
+            (["0.0,0.38,0.26,0.36", "0.2,0.4,0.3,0.3", "0.2,0.4,0.3,0.3"],
+             "observation times must be strictly increasing"),
+            (["0.0,0.38,0.26,0.36", "0.1,0.4,0.3,0.3"], "need at least 3 observations, got (2,)"),
+            (["0.0,0.38,0.26,0.36", "0.1,1.2,-0.1,-0.1", "0.2,0.4,0.3,0.3"],
+             "support entries must lie in [0, 1]"),
+        ],
+        ids=["row-sum", "times", "too-few-rows", "out-of-range"],
+    )
+    def test_poll_series_rejection_is_a_data_error_at_its_path(
+        self, tmp_path, capsys, rows, message
+    ):
+        cfg = write_config(tmp_path, POLARISED_CONFIG)
+        path = tmp_path / "polls.csv"
+        path.write_text("\n".join(["t,left,centre,right", *rows]) + "\n", encoding="utf-8")
+        assert main(["calibrate", "--config", cfg, "--data", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_constant_series_is_an_info_record(self, tmp_path, capsys, caplog):
+        # the library warns; the CLI logs it and reports sigma 0
+        cfg = write_config(tmp_path, POLARISED_CONFIG)
+        path = tmp_path / "flat.csv"
+        path.write_text("t,left,centre,right\n" + "".join(
+            f"{t},0.38,0.26,0.36\n" for t in (0.0, 0.1, 0.2, 0.3)), encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="voteflow.cli"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["calibrate", "--config", cfg, "--data", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["historic"]["sigma"] == 0.0
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("voteflow.cli", "INFO",
+             "poll series carries no usable movement (constant supports); estimate is 0")
+        ]
 
 
 class TestConfigRejections:

@@ -10,7 +10,6 @@ from voteflow import (
     InfoSchedule,
     condition_on_history,
     effective_variance,
-    posterior,
     posterior_support,
     win_probabilities,
 )
@@ -171,29 +170,29 @@ class TestScheduleVariances:
 
 class TestPosterior:
     def test_no_information_returns_priors(self, polarised_model):
-        dist = posterior(polarised_model, 0.0, 0.0)
-        np.testing.assert_allclose(dist.support, polarised_model.priors_arr, atol=1e-15)
+        support = posterior_support(polarised_model, 0.0, 0.0)
+        np.testing.assert_allclose(support, polarised_model.priors_arr, atol=1e-15)
 
     def test_polarised_value_at_unit_time(self, polarised_model):
-        dist = posterior(polarised_model, 0.0, 1.0)
-        np.testing.assert_allclose(dist.support, ORACLE_POSTERIOR_Y0, atol=1e-12)
+        support = posterior_support(polarised_model, 0.0, 1.0)
+        np.testing.assert_allclose(support, ORACLE_POSTERIOR_Y0, atol=1e-12)
         # loose display-rounded values
-        np.testing.assert_allclose(dist.support, (0.8548, 0.1305, 0.0148), atol=2e-4)
+        np.testing.assert_allclose(support, (0.8548, 0.1305, 0.0148), atol=2e-4)
 
     def test_huge_signal_concentrates_on_rightmost(self, polarised_model):
-        dist = posterior(polarised_model, 1e6, 1.0)
-        assert dist.support[2] > 1.0 - 1e-12
-        assert np.all(np.isfinite(dist.support))
+        support = posterior_support(polarised_model, 1e6, 1.0)
+        assert support[2] > 1.0 - 1e-12
+        assert np.all(np.isfinite(support))
 
     def test_huge_negative_signal_concentrates_on_leftmost(self, polarised_model):
-        dist = posterior(polarised_model, -1e6, 1.0)
-        assert dist.support[0] > 1.0 - 1e-12
+        support = posterior_support(polarised_model, -1e6, 1.0)
+        assert support[0] > 1.0 - 1e-12
 
     def test_out_of_range_time(self, polarised_model):
         with pytest.raises(OutOfRangeTime):
-            posterior(polarised_model, 0.0, 1.5)
+            posterior_support(polarised_model, 0.0, 1.5)
         with pytest.raises(OutOfRangeTime):
-            posterior(polarised_model, 0.0, -0.1)
+            posterior_support(polarised_model, 0.0, -0.1)
 
     def test_normalization_over_random_inputs(self):
         rng = np.random.default_rng(11)

@@ -49,9 +49,9 @@ ORACLE_BOUND_POLARISED = 0.8395903894992673
 def centre_dead_by_thresholds(model):
     """Direct three-candidate check: the (0,1) crossing above the (2,0)
     crossing above the (1,2) crossing."""
-    w01 = crossing_threshold(model, 0, 1).value
-    w20 = crossing_threshold(model, 2, 0).value
-    w12 = crossing_threshold(model, 1, 2).value
+    w01 = crossing_threshold(model, 0, 1)
+    w20 = crossing_threshold(model, 2, 0)
+    w12 = crossing_threshold(model, 1, 2)
     return w01 > w20 > w12
 
 

@@ -2,15 +2,16 @@
 
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 15
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 17
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
 axes, simulate with and without ``--seed 7``, calibrate, calibrate
-``--data`` on a fixed 201-row poll CSV, calibrate on two target configs:
-the second candidate at win probability 0 and the last at 0.45, and
-forecast and deadzone on a zero-first config: the first candidate's prior
-moved onto the second) on each config in ``configs/``, in both formats,
-once to stdout and once to ``--out``: 360 runs. The poll CSVs and derived
-configs are written to ``OUT_DIR/polls/``. Each run leaves
+``--data`` on a fixed 201-row poll CSV, on a constant 5-row one and on one
+whose second row sums to 1.1, calibrate on two target configs: the second
+candidate at win probability 0 and the last at 0.45, and forecast and
+deadzone on a zero-first config: the first candidate's prior moved onto the
+second) on each config in ``configs/``, in both formats, once to stdout and
+once to ``--out``: 408 runs. The poll CSVs and derived configs are
+written to ``OUT_DIR/polls/``. Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
 ``stdout``, ``stderr``, ``exit_code`` and, for ``--out`` runs, the written
 ``report.<format>``. Runs use relative paths from OUT_DIR, so two checkouts'
@@ -42,6 +43,10 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # at 0.45 crosses a humped curve twice on the polarised configs
 TARGETS = {"second-at-0": (1, 0.0), "last-at-0.45": (-1, 0.45)}
 
+# flat poll CSVs as the amount added to the first support of the second
+# row: a constant series (sigma 0) and a row summing to 1.1 (exit 3)
+FLAT_POLLS = {"constant": 0.0, "row-sum-1.1": 0.1}
+
 INVOCATIONS = {
     "forecast": ["forecast"],
     "deadzone": ["deadzone"],
@@ -54,6 +59,10 @@ INVOCATIONS = {
     "simulate-seed7": ["simulate", "--seed", "7"],
     "calibrate": ["calibrate"],
     "calibrate-data": ["calibrate", "--data", "polls/{stem}.csv"],
+    **{
+        f"calibrate-data-{label}": ["calibrate", "--data", f"polls/{{stem}}-{label}.csv"]
+        for label in FLAT_POLLS
+    },
     **{
         f"calibrate-{label}": ["calibrate", "--config", f"polls/{{stem}}-{label}.json"]
         for label in TARGETS
@@ -86,6 +95,19 @@ def write_polls(config: dict, path: Path, rows: int = 201) -> None:
         lines.append(",".join(repr(v) for v in (t, *(v / total for v in e))))
         y += rng.gauss(0.0, math.sqrt(dt))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_flat_polls(config: dict, stem: str, polls: Path, rows: int = 5) -> None:
+    """The priors as a poll series, once per entry of FLAT_POLLS."""
+    names = [c["name"] for c in config["candidates"]]
+    priors = [float(c["prior"]) for c in config["candidates"]]
+    dt = float(config["horizon_years"]) / (rows - 1)
+    for label, bump in FLAT_POLLS.items():
+        lines = [",".join(["t", *names])]
+        for i in range(rows):
+            row = [priors[0] + (bump if i == 1 else 0.0), *priors[1:]]
+            lines.append(",".join(repr(v) for v in (i * dt, *row)))
+        (polls / f"{stem}-{label}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_targets(config: dict, stem: str, polls: Path) -> None:
@@ -133,6 +155,7 @@ def record(src: Path, out_dir: Path) -> int:
     for stem in stems:
         config = json.loads((CONFIG_DIR / f"{stem}.json").read_text(encoding="utf-8"))
         write_polls(config, out_dir / "polls" / f"{stem}.csv")
+        write_flat_polls(config, stem, out_dir / "polls")
         write_targets(config, stem, out_dir / "polls")
         write_zero_first(config, stem, out_dir / "polls")
     runs = [
