@@ -507,6 +507,11 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
     n_steps = cfg.simulation["n_steps"]
     ensemble = simulate_paths(model, n_paths, n_steps, seed)
     bundle = winprob_paths(ensemble)
+    for quantity, values in (("support", bundle.support), ("win_probs", bundle.win_probs)):
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):  # checked before _emit opens --out: CSV would write NaN cells
+            path, step = bad[0, :2].tolist()
+            raise NumericalError(f"simulate: {quantity} of path {path} at step {step} is not finite")
 
     def rows():
         times = bundle.times.tolist()

@@ -368,8 +368,9 @@ def condition_on_history(model: ElectionModel, y: float, t: float) -> ElectionMo
     Returns a new model whose priors are the time-t support rates, whose
     horizon is the remaining time, and whose schedule is the original one
     re-based at t. The information process is Markov, so every downstream
-    probability computed from the new model is the conditional probability
-    given the history up to t.
+    probability from the new model is conditional on the history up to t.
+    Conditioning only shifts the thresholds: the new crossing table is the
+    model's minus y, since V(0, t) + V(t, T) = V, so the same candidates can win.
     """
     if not (0.0 <= t < model.horizon):
         raise OutOfRangeTime(f"t={t} outside [0, {model.horizon}) for conditioning")

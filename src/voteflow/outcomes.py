@@ -219,16 +219,20 @@ def _win_kernel(positions, priors, variance) -> np.ndarray:
     """Win probabilities of a batch of races: positions and priors [..., N]
     and terminal accumulated variances [...] broadcast to a result [..., N].
 
-    Candidate k wins with the mass of its lead interval, sum_j p_j
-    P(L_k < Y_T <= U_k | j) with Y_T ~ Normal(x_j V, V), formed from the
-    tail values of its standardised ends (``normal_masses``): bit for bit
-    ``win_probabilities`` of each race, for up to 7 candidates (numpy sums
-    longer rows pairwise)."""
+    Candidate k wins with the ``_lead_masses`` of its lead interval: bit for
+    bit ``win_probabilities`` of each race, for up to 7 candidates (numpy
+    sums longer rows pairwise)."""
     x = np.asarray(positions, dtype=np.float64)
     p = np.asarray(priors, dtype=np.float64)
-    v = np.asarray(variance, dtype=np.float64)[..., None]
-    ends = _lead_intervals(_crossings(x, p, v), p)  # [2, ..., N]
-    v = v[..., None]
+    v = np.asarray(variance, dtype=np.float64)
+    return _lead_masses(_lead_intervals(_crossings(x, p, v[..., None]), p), x, p, v)
+
+
+def _lead_masses(ends, x, p, v) -> np.ndarray:
+    """sum_j p_j P(L_k < Y <= U_k | j), Y ~ Normal(x_j V, V), of interval ends
+    [2, ..., N], positions x and weights p [..., N] and variances V [...], as
+    [..., N], from the tail values of the standardised ends (``normal_masses``)."""
+    v = np.asarray(v)[..., None, None]
     # [2, ..., k, j]: k's interval ends standardised under candidate j's law
     z = (ends[..., :, None] - x[..., None, :] * v) / np.sqrt(v)
     return (p[..., None, :] * normal_masses(z)).sum(axis=-1)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ElectionModel, _log_weight, _schedule_variances, _softmax
-from .outcomes import _win_kernel
+from .outcomes import _lead_masses
 
 __all__ = [
     "PathEnsemble",
@@ -106,7 +106,7 @@ class MonteCarloOutcome:
         return {k: c / self.n_paths for k, c in self.ordering_counts.items()}
 
 
-#: Path-steps per win-kernel call in ``winprob_paths``. The kernel holds a
+#: Path-steps per ``_lead_masses`` call in ``winprob_paths``. It holds a
 #: few N x N arrays per path-step; a fixed block caps them (6 MB at N = 6)
 #: however long the paths, yet makes numpy's per-call overhead negligible.
 PATH_STEP_BLOCK = 2048
@@ -186,22 +186,26 @@ def posterior_paths(ensemble: PathEnsemble) -> TrajectoryBundle:
 def winprob_paths(ensemble: PathEnsemble) -> TrajectoryBundle:
     """Support plus realized conditional win-probability trajectories.
 
-    Given the history up to an interior time t, the race is the same race
-    with the time-t supports as priors and V(t, T) as terminal variance, so
-    every path-step's closed-form win probabilities come from one batched
-    evaluation per block of path-steps; at the final time the win vector is
-    the indicator of the leading candidate (ties to the lower index).
+    Conditioning only shifts the thresholds: given the signal y at an
+    interior time t, the race is the model's own with every crossing moved
+    to table[a, b] - y, the time-t supports as priors and V(t, T) as
+    terminal variance. So who can win is decided once per model, and each
+    path-step's win probabilities are the masses of the model's lead
+    intervals shifted by -y, one batched call per block of path-steps. At
+    the final time they are the indicator of the leader (ties to the lower index).
     """
     model = ensemble.model
     bundle = posterior_paths(ensemble)
     n_paths, n_steps = ensemble.n_paths, ensemble.n_steps
     remaining = _schedule_variances(model.schedule, ensemble.times[:-1], model.horizon)
+    ends = np.array(model.lead_intervals)[:, None, :]  # [2, 1, N]
     win = np.zeros_like(bundle.support)
     total = n_paths * n_steps
     for start in range(0, total, PATH_STEP_BLOCK):
         path, step = np.divmod(np.arange(start, min(start + PATH_STEP_BLOCK, total)), n_steps)
-        win[path, step] = _win_kernel(
-            model.positions_arr, bundle.support[path, step], remaining[step]
+        shifted = ends - ensemble.signal_paths[path, step, None]  # [2, B, N]
+        win[path, step] = _lead_masses(
+            shifted, model.positions_arr, bundle.support[path, step], remaining[step]
         )
     winner = np.argmax(bundle.support[:, -1, :], axis=-1)
     win[np.arange(n_paths), -1, winner] = 1.0

@@ -158,13 +158,15 @@ def dead_zone_sigma_bound(model: ElectionModel) -> Optional[float]:
     (x0 + x1) V / 2 and (l1 - l2)/g12 + (x1 + x2) V / 2 with V = sigma^2 T,
     so the lockout condition is linear in sigma^2:
 
-        sigma^2 <= 2 * m / (T * g01 * g02 * g12),
-        m = g12 * (l0 - l1) - g01 * (l1 - l2).
+        sigma^2 <= 2 * (a01 - a12) / (g02 * T),
+        a01 = (l0 - l1) / g01,  a12 = (l1 - l2) / g12.
 
-    Returns the square root of the right-hand side, or None when m <= 0 (no
-    positive rate creates a dead zone). Reads the model's positions, priors
-    and horizon; its schedule, the rate being solved for, is not read. All
-    three priors must be positive.
+    Returns sqrt(a01 - a12) * sqrt(2 / (g02 T)), which forms neither a
+    product of gaps nor the bound's square, so it stays finite and nonzero
+    with the positions scaled by anything from 1e-160 to 1e150; None when
+    a01 <= a12 (no positive rate creates a dead zone). Reads the model's
+    positions, priors and horizon; its schedule, the rate being solved for,
+    is not read. All three priors must be positive.
     """
     if model.n_candidates != 3:
         raise RequiresThreeCandidates(
@@ -174,11 +176,10 @@ def dead_zone_sigma_bound(model: ElectionModel) -> Optional[float]:
         raise ZeroPrior(f"all priors must be > 0, got {model.priors}")
     x0, x1, x2 = model.positions
     l0, l1, l2 = model.log_priors_arr.tolist()
-    g01, g02, g12 = x1 - x0, x2 - x0, x2 - x1
-    m = g12 * (l0 - l1) - g01 * (l1 - l2)
-    if m <= 0.0:
+    a01, a12 = (l0 - l1) / (x1 - x0), (l1 - l2) / (x2 - x1)
+    if a01 <= a12:
         return None
-    return math.sqrt(2.0 * m / (model.horizon * g01 * g02 * g12))
+    return math.sqrt(a01 - a12) * math.sqrt(2.0 / ((x2 - x0) * model.horizon))
 
 
 def max_support_point(model: ElectionModel, k: int) -> MaxSupportReport:

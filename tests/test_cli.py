@@ -303,6 +303,24 @@ class TestSimulate:
         cfg = write_config(tmp_path, POLARISED_CONFIG)
         assert main(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_paths_exit_4_before_writing(self, tmp_path, capsys, fmt):
+        # positions near 1e200 overflow the log weights, so every support is
+        # NaN; CSV would write the NaN cells, so both formats check first
+        payload = self.base_payload()
+        payload["candidates"] = [
+            dict(cand, position=x) for cand, x in zip(payload["candidates"], (1e200, 2e200, 3e200))
+        ]
+        out = tmp_path / f"paths.{fmt}"
+        argv = ["simulate", "--config", write_config(tmp_path, payload), "--format", fmt]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([*argv, "--out", str(out)]) == 4
+        assert not out.exists()
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == "error: simulate: support of path 0 at step 0 is not finite\n"
+
 
 class TestDeadzoneAndMaxSupport:
     def test_deadzone_report(self, tmp_path, capsys):
@@ -333,6 +351,20 @@ class TestDeadzoneAndMaxSupport:
             assert curve == sorted(curve)
         assert obj["max_support"]["c1"] == [1.0, 1.0, 1.0]
         assert obj["at_config_sigma"]["c3"]["residual"] < 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e150])
+    @pytest.mark.parametrize("command", ["forecast", "deadzone"])
+    def test_extreme_position_scales_give_the_scaled_bound(self, tmp_path, capsys, command, scale):
+        # the product of the three gaps underflows at 1e-160 and overflows at
+        # 1e150; the bound of s * x is the bound of x over s, a finite float
+        payload = polarised_payload()
+        payload["sigma"] = 0.25
+        for cand in payload["candidates"]:
+            cand["position"] *= scale
+        assert main([command, "--config", write_config(tmp_path, payload)]) == 0
+        if command == "deadzone":
+            bound = json.loads(capsys.readouterr().out)["dead_zones"]["centre"]["sigma_bound"]
+            assert bound * scale == pytest.approx(0.8395903894992673, rel=1e-12)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_subnormal_centre_prior_gives_a_finite_bound(self, tmp_path, capsys, fmt):

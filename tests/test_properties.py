@@ -148,6 +148,21 @@ def test_path_win_probabilities_match_direct_conditioning(model, n_paths, n_step
             )
 
 
+@PROPERTY_SETTINGS
+@given(races(), st.floats(-5.0, 5.0), st.floats(0.0, 0.95))
+def test_conditioning_only_shifts_the_thresholds(model, y, fraction):
+    # the race seen from time t after signal y crosses at table[a, b] - y,
+    # so who can win is the model's own dead set
+    conditioned = condition_on_history(model, y, fraction * model.horizon)
+    shifted = model.crossing_table - y
+    finite = np.isfinite(shifted)
+    np.testing.assert_array_equal(conditioned.crossing_table[~finite], shifted[~finite])
+    gap = np.abs(conditioned.crossing_table[finite] - shifted[finite])
+    assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(shifted[finite])))
+    dead = [not lo < hi for lo, hi in zip(*model.lead_intervals)]
+    assert [not lo < hi for lo, hi in zip(*conditioned.lead_intervals)] == dead
+
+
 @st.composite
 def wide_races(draw):
     """Races beyond ``races``' no-underflow domain: gaps from 0.01 to 3,

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -192,6 +193,76 @@ class TestWinprobPaths:
         np.testing.assert_allclose(
             bundle.win_probs[i, m], win_probabilities(conditioned).win_probs, atol=1e-14
         )
+
+
+def mp_variance(schedule, t0, t1):
+    """Test-local V(t0, t1) of a schedule, in mpmath."""
+    edges = [0, *schedule.breakpoints, mpmath.inf]
+    return sum(
+        mpmath.mpf(rate) ** 2 * max(min(mpmath.mpf(t1), hi) - max(mpmath.mpf(t0), lo), 0)
+        for rate, lo, hi in zip(schedule.rates, edges, edges[1:])
+    )
+
+
+def mp_conditional_win(model, y, t):
+    """Test-local conditional win probabilities given signal y at time t, in
+    50-digit arithmetic: the time-t posterior from the filter formula, and
+    each live candidate's terminal lead interval from its own crossings,
+    whose mass is taken under the remaining signal's Gaussian laws."""
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(v) for v in model.positions]
+        p = [mpmath.mpf(v) for v in model.priors]
+        y = mpmath.mpf(y)
+        v_t = mp_variance(model.schedule, 0, t)
+        v_rem = mp_variance(model.schedule, t, model.horizon)
+        weights = [pj * mpmath.exp(y * xj - xj * xj * v_t / 2) for xj, pj in zip(x, p)]
+        total = sum(weights)
+        post = [w / total for w in weights]
+
+        def crossing(a, b):
+            return mpmath.log(p[b] / p[a]) / (x[a] - x[b]) + (x[a] + x[b]) * (v_t + v_rem) / 2
+
+        def cdf(end, j):
+            return mpmath.ncdf((end - y - x[j] * v_rem) / mpmath.sqrt(v_rem))
+
+        n = len(x)
+        win = []
+        for k in range(n):
+            lo = max((crossing(a, k) for a in range(k)), default=-mpmath.inf)
+            hi = min((crossing(k, b) for b in range(k + 1, n)), default=mpmath.inf)
+            live = lo < hi
+            win.append(float(sum(post[j] * (cdf(hi, j) - cdf(lo, j)) for j in range(n)) * live))
+        return np.array(win)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ElectionModel((1.0, 2.0, 3.0, 4.0, 5.0), (0.2,) * 5, 1.0, 1.0),
+        ElectionModel(POLARISED_X, POLARISED_P, 1.0, 1.0),
+    ],
+    ids=["five_candidate_peak_support", "polarised_three_way"],
+)
+def test_path_win_probabilities_match_high_precision_oracle(model):
+    ensemble = simulate_paths(model, 50, 250, seed=2024)
+    bundle = winprob_paths(ensemble)
+    rng = np.random.default_rng(0)
+    for i, m in zip(rng.integers(0, 50, 60), rng.integers(0, 250, 60)):
+        exact = mp_conditional_win(model, ensemble.signal_paths[i, m], ensemble.times[m])
+        np.testing.assert_allclose(bundle.win_probs[i, m], exact, rtol=0.0, atol=1e-15)
+
+
+def test_candidate_dead_in_the_model_never_wins_on_a_path():
+    # the centre is dead in the model; on many path-steps the left support
+    # has underflowed to 0 while the centre's has not, which a race rebuilt
+    # from the time-t supports would read as a live centre
+    model = ElectionModel((0.0, 1.0, 2.0), (1e-200, 1e-250, 1.0 - 1e-200 - 1e-250), 1.0, 20.0)
+    lower, upper = model.lead_intervals
+    assert lower[1] == upper[1] == 0.0
+    bundle = winprob_paths(simulate_paths(model, 20, 250, seed=3))
+    support = bundle.support
+    assert np.count_nonzero((support[..., 0] == 0.0) & (support[..., 1] > 0.0)) > 0
+    assert np.all(bundle.win_probs[..., 1] == 0.0)
 
 
 class TestMonteCarloTally:

@@ -201,6 +201,16 @@ class TestDeadZoneSigmaBound:
             assert not is_dead_zone(above, 1).is_dead
             tested += 1
 
+    def test_bound_scales_inversely_with_the_positions(self, polarised_low_info):
+        # the bound of s * x is the bound of x over s, with no intermediate
+        # over- or underflow from s = 1e-160 to 1e150 (the product of the
+        # three gaps leaves the float range beyond about 1e+-103)
+        reference = dead_zone_sigma_bound(polarised_low_info)
+        for exponent in range(-160, 151, 5):
+            scale = 10.0**exponent
+            race = ElectionModel(tuple(scale * x for x in POLARISED_X), POLARISED_P, 1.0, 0.25)
+            assert dead_zone_sigma_bound(race) * scale == pytest.approx(reference, rel=1e-12)
+
     def test_requires_three_candidates(self):
         with pytest.raises(RequiresThreeCandidates):
             dead_zone_sigma_bound(ElectionModel((0.0, 1.0), (0.5, 0.5), 1.0, 1.0))

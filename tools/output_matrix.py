@@ -2,16 +2,18 @@
 
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 17
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 20
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
 axes, simulate with and without ``--seed 7``, calibrate, calibrate
 ``--data`` on a fixed 201-row poll CSV, on a constant 5-row one and on one
 whose second row sums to 1.1, calibrate on two target configs: the second
-candidate at win probability 0 and the last at 0.45, and forecast and
-deadzone on a zero-first config: the first candidate's prior moved onto the
-second) on each config in ``configs/``, in both formats, once to stdout and
-once to ``--out``: 408 runs. The poll CSVs and derived configs are
-written to ``OUT_DIR/polls/``. Each run leaves
+candidate at win probability 0 and the last at 0.45, forecast and deadzone
+on a zero-first config: the first candidate's prior moved onto the second,
+forecast and deadzone on a near config: every position times 1e-160, and
+simulate on a far config: every position times 1e200) on each config in
+``configs/``, in both formats, once to stdout and once to ``--out``: 480
+runs. The poll CSVs and derived configs are written to ``OUT_DIR/polls/``.
+Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
 ``stdout``, ``stderr``, ``exit_code`` and, for ``--out`` runs, the written
 ``report.<format>``. Runs use relative paths from OUT_DIR, so two checkouts'
@@ -47,6 +49,10 @@ TARGETS = {"second-at-0": (1, 0.0), "last-at-0.45": (-1, 0.45)}
 # row: a constant series (sigma 0) and a row summing to 1.1 (exit 3)
 FLAT_POLLS = {"constant": 0.0, "row-sum-1.1": 0.1}
 
+# positions scaled toward either end of the float range, as the amount
+# every position is multiplied by
+SCALES = {"near": 1e-160, "far": 1e200}
+
 INVOCATIONS = {
     "forecast": ["forecast"],
     "deadzone": ["deadzone"],
@@ -72,6 +78,11 @@ INVOCATIONS = {
         f"{name}-zero-first": [name, "--config", "polls/{stem}-zero-first.json"]
         for name in ("forecast", "deadzone")
     },
+    **{
+        f"{name}-near": [name, "--config", "polls/{stem}-near.json"]
+        for name in ("forecast", "deadzone")
+    },
+    "simulate-far": ["simulate", "--config", "polls/{stem}-far.json"],
 }
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -127,6 +138,14 @@ def write_zero_first(config: dict, stem: str, polls: Path) -> None:
     (polls / f"{stem}-zero-first.json").write_text(text + "\n", encoding="utf-8")
 
 
+def write_scaled(config: dict, stem: str, polls: Path) -> None:
+    """The config once per entry of SCALES, with every position scaled."""
+    for label, scale in SCALES.items():
+        moved = [{**c, "position": c["position"] * scale} for c in config["candidates"]]
+        text = json.dumps({**config, "candidates": moved}, indent=2)
+        (polls / f"{stem}-{label}.json").write_text(text + "\n", encoding="utf-8")
+
+
 def run_one(src: Path, out_dir: Path, stem: str, name: str, fmt: str, dest: str) -> None:
     run_dir = Path(stem) / name / f"{fmt}-{dest}"
     (out_dir / run_dir).mkdir(parents=True, exist_ok=True)
@@ -158,6 +177,7 @@ def record(src: Path, out_dir: Path) -> int:
         write_flat_polls(config, stem, out_dir / "polls")
         write_targets(config, stem, out_dir / "polls")
         write_zero_first(config, stem, out_dir / "polls")
+        write_scaled(config, stem, out_dir / "polls")
     runs = [
         (stem, name, fmt, dest)
         for stem in stems
