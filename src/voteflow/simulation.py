@@ -82,9 +82,13 @@ class MonteCarloOutcome:
     ``ordering_counts`` partition the paths (integer counts sum to
     n_paths exactly); its keys, the observed orderings only, come in
     ascending lexicographic order. Frequencies and binomial standard errors
-    are derived from the counts. Each path is ranked by the candidates' log
-    posterior weights, which do not underflow, so trailing candidates are
-    ranked too.
+    are derived from the counts. Each path is ranked by a stable sort of the
+    candidates' log posterior weights, which do not underflow, so trailing
+    candidates are ranked too. The weights depend on the terminal signal
+    alone, so the paths are sorted by it and counted in runs over which the
+    ranking does not change (read from which weight of each pair is larger
+    up to N = 32, from ranking each path beyond), with one ranked path per
+    run: the counts are those of ranking every path alone.
     ``tie_count`` records paths on which two finite weights were exactly
     equal (resolved toward the lower index); zero-prior candidates, all at
     -inf, are ranked last by index and never count as a tie.
@@ -212,6 +216,34 @@ def winprob_paths(ensemble: PathEnsemble) -> TrajectoryBundle:
     return TrajectoryBundle(times=ensemble.times, support=bundle.support, win_probs=win)
 
 
+def _compare_pairs(model: ElectionModel, y: np.ndarray, v: float):
+    """Where the ranking changes between neighbours of the sorted signals y
+    (one flag per draw after the first), and which draws hold two equal
+    finite weights, from each pair's comparison w[b] > w[a]: a draw's stable
+    ranking is a function of those bits. A draw with a NaN weight, which the
+    bits do not rank (argsort places it last), is a run of its own."""
+    weight = _log_weight(model, y, v, candidates_first=True)  # [N, m]
+    nan = np.isnan(weight).any(axis=0)
+    flip = nan[1:] | nan[:-1]
+    tie = np.zeros_like(nan)
+    for b in range(1, model.n_candidates):
+        # -inf == -inf, so a tie needs finite weights: zero priors never tie
+        tie |= (weight[b] == weight[:b]).any(axis=0) & np.isfinite(weight[b])
+        above = weight[b] > weight[:b]
+        flip |= (above[:, 1:] != above[:, :-1]).any(axis=0)
+    return flip, tie
+
+
+def _rank_each(model: ElectionModel, y: np.ndarray, v: float):
+    """As ``_compare_pairs``, from a stable argsort of each draw's negated
+    weights; equal finite weights sit side by side once ranked."""
+    weight = _log_weight(model, y, v)  # [m, N]
+    order = np.argsort(-weight, axis=1, kind="stable")
+    ranked = np.take_along_axis(weight, order, axis=1)
+    tie = ((ranked[:, 1:] == ranked[:, :-1]) & np.isfinite(ranked[:, 1:])).any(axis=1)
+    return (order[1:] != order[:-1]).any(axis=1), tie
+
+
 def monte_carlo_win_probabilities(
     model: ElectionModel, n_paths: int, seed: int
 ) -> MonteCarloOutcome:
@@ -227,24 +259,36 @@ def monte_carlo_win_probabilities(
     latent = _draw_latent(rng, cum_priors, n_paths)
     v = model.terminal_variance
     y = model.positions_arr[latent] * v + math.sqrt(v) * rng.standard_normal(n_paths)
-    log_weight = _log_weight(model, y, v)
+    # the tally is a function of the multiset of draws, so order them by y:
+    # draws with one ranking then sit in runs
+    y.sort()
 
-    order = np.argsort(-log_weight, axis=1, kind="stable")
-    sorted_weight = np.take_along_axis(log_weight, order, axis=1)
-    # -inf - -inf is NaN, so zero-prior candidates never compare equal here
-    tie_count = int(np.sum(np.any(np.diff(sorted_weight, axis=1) == 0.0, axis=1)))
-
-    # one lexicographic sort of the rank rows, narrowest type for speed and no
-    # per-permutation code to overflow; a count is the gap to the next start
+    # a run starts wherever a draw's ranking differs from the draw before's;
+    # blocks of about 2^17 weights, each with the draw before it, keep every
+    # pass in cache. Pair comparisons cost O(N^2) a draw and ranking each
+    # draw O(N log N), plus a per-draw overhead that dominates at small N:
+    # the first is the faster up to about N = 32.
     n = model.n_candidates
-    ranks = order.astype(np.min_scalar_type(n - 1))
-    ranks = ranks[np.lexsort(ranks.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, np.any(ranks[1:] != ranks[:-1], axis=1)])
-    row_counts = np.diff(np.r_[starts, n_paths]).tolist()
-    counts = dict(zip(map(tuple, ranks[starts].tolist()), row_counts))
+    compare = _compare_pairs if n <= 32 else _rank_each
+    start = np.zeros(n_paths, dtype=bool)
+    tied = np.zeros(n_paths, dtype=bool)
+    block = (1 << 17) // n
+    for lo in range(0, n_paths, block):
+        rows = slice(max(lo - 1, 0), lo + block)
+        start[rows][1:], tied[rows] = compare(model, y[rows], v)
+    start[0] = True
+    tie_count = int(np.count_nonzero(tied))
 
-    win_counts = np.bincount(order[:, 0], minlength=n)
-    win_freqs = win_counts / n_paths
+    # rank one draw per run; runs of one ordering add up, keys ascending
+    starts = np.flatnonzero(start)
+    run_lengths = np.diff(np.r_[starts, n_paths])
+    order = np.argsort(-_log_weight(model, y[starts], v), axis=1, kind="stable")
+    counts: dict[tuple[int, ...], int] = {}
+    for key, c in zip(map(tuple, order.tolist()), run_lengths.tolist()):
+        counts[key] = counts.get(key, 0) + c
+    counts = dict(sorted(counts.items()))
+
+    win_freqs = np.bincount(order[:, 0], weights=run_lengths, minlength=n) / n_paths
     win_se = np.sqrt(win_freqs * (1.0 - win_freqs) / n_paths)
     return MonteCarloOutcome(
         n_paths=n_paths,

@@ -1,12 +1,15 @@
 """Path simulation, trajectory bundles, and the Monte Carlo tally."""
 
+import collections
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+import voteflow
 from voteflow import (
     ElectionModel,
     InfoSchedule,
@@ -17,7 +20,11 @@ from voteflow import (
     win_probabilities,
     winprob_paths,
 )
+from voteflow import model as model_module
+from voteflow import outcomes as outcomes_module
+from voteflow import simulation as simulation_module
 from voteflow.errors import ValidationError
+from voteflow.model import _log_weight
 
 from conftest import POLARISED_P, POLARISED_X, random_model
 
@@ -265,7 +272,124 @@ def test_candidate_dead_in_the_model_never_wins_on_a_path():
     assert np.all(bundle.win_probs[..., 1] == 0.0)
 
 
+def reference_tally(model, n_paths, seed):
+    """Test-local exact tally: the package's seeded draws replayed, each draw
+    ranked on its own by a stable argsort of its negated log weights.
+    Returns the ordering counts (keys ascending), the leader frequencies and
+    the number of draws on which two finite weights are equal."""
+    rng = np.random.default_rng(seed)
+    cum_priors = np.cumsum(model.priors_arr)
+    labels = np.searchsorted(cum_priors, rng.random(n_paths), side="right")
+    labels = np.minimum(labels, model.n_candidates - 1)
+    v = model.terminal_variance
+    y = model.positions_arr[labels] * v + math.sqrt(v) * rng.standard_normal(n_paths)
+    weight = _log_weight(model, y, v)
+    order = np.argsort(-weight, axis=1, kind="stable")
+    counts = collections.Counter(map(tuple, order.tolist()))
+    ascending = np.sort(weight, axis=1)
+    tied = (ascending[:, 1:] == ascending[:, :-1]) & np.isfinite(ascending[:, 1:])
+    leaders = np.bincount(order[:, 0], minlength=model.n_candidates)
+    return dict(sorted(counts.items())), leaders / n_paths, int(np.count_nonzero(tied.any(axis=1)))
+
+
+def reference_races():
+    """(model, draws, whether some draws must tie): random N = 2-8 races with
+    zero priors, piecewise schedules and position scales from 1e-2 to 1e2;
+    the N = 21 race; one whose weights near 1e16 carry rounding noise as
+    large as the pairs' gaps, so that on 200,000 draws most draws tie and
+    about a third of them start a run, block boundaries included; one whose
+    x^2 V / 2 overflows, so that the left candidate's weight is NaN on its
+    own draws and -inf on the others; and, past N = 32, where each draw is
+    ranked instead, an N = 40 race with zero priors, an N = 257 race over
+    several blocks, and an N = 40 race at rate 1e-100 that ties every draw."""
+    rng = np.random.default_rng(2024)
+    for i in range(30):
+        base = random_model(rng, n=2 + i % 7, piecewise=i % 3 == 0)
+        priors = base.priors_arr.copy()
+        if i % 2:
+            priors[rng.choice(base.n_candidates, size=base.n_candidates // 2, replace=False)] = 0.0
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        model = ElectionModel(
+            tuple(scale * base.positions_arr), tuple(priors / priors.sum()), base.horizon, base.schedule
+        )
+        yield pytest.param(model, 10_000, False, id=f"random{i}")
+    n = 21
+    wide = ElectionModel(tuple(float(j) for j in range(n)), (1.0 / n,) * n, 1.0, 0.5)
+    yield pytest.param(wide, 10_000, False, id="n21")
+    noisy = ElectionModel((1e8, 1e8 + 1.0, 1e8 + 2.0), (1 / 3, 1 / 3, 1 / 3), 1.0, 1.0)
+    yield pytest.param(noisy, 200_000, True, id="rounding-noise")
+    overflow = ElectionModel((-1e190, 1e160), (0.5, 0.5), 1.0, 1e-34)
+    yield pytest.param(overflow, 2_000, False, id="nan-weights")
+    n = 40
+    priors = np.where(np.arange(n) % 3 == 1, 0.0, 1.0)
+    wide = ElectionModel(tuple(0.5 * j for j in range(n)), tuple(priors / priors.sum()), 1.0, 1.0)
+    yield pytest.param(wide, 10_000, False, id="n40-zero-priors")
+    n = 257
+    wide = ElectionModel(tuple(float(j) for j in range(n)), (1.0 / n,) * n, 1.0, 0.5)
+    yield pytest.param(wide, 3_000, False, id="n257")
+    n = 40
+    flat = ElectionModel(tuple(float(j) for j in range(n)), (1.0 / n,) * n, 1.0, 1e-100)
+    yield pytest.param(flat, 1_000, True, id="n40-rate-1e-100")
+
+
 class TestMonteCarloTally:
+    @pytest.mark.parametrize("model, n, ties", reference_races())
+    def test_matches_the_exact_reference_tally(self, model, n, ties):
+        # equal, not within Monte Carlo error: a run boundary the tally
+        # missed would move draws between orderings
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflowing race
+            mc = monte_carlo_win_probabilities(model, n, seed=900)
+            counts, win_freqs, tie_count = reference_tally(model, n, seed=900)
+        assert list(mc.ordering_counts.items()) == list(counts.items())
+        np.testing.assert_array_equal(mc.win_freqs, win_freqs)
+        assert mc.tie_count == tie_count
+        assert tie_count > 0 or not ties
+
+    @pytest.mark.parametrize("priors, ordering", [
+        ((1 / 3, 1 / 3, 1 / 3), (0, 1, 2)),
+        ((0.25, 0.25, 0.0, 0.5), (3, 0, 1, 2)),
+    ])
+    def test_weights_that_collapse_to_the_priors_tie_every_draw(self, priors, ordering):
+        # at rate 1e-100 every signal term is lost beside log p, so equal
+        # priors tie on every draw and rank by index; a zero prior ranks last
+        model = ElectionModel(tuple(float(j) for j in range(len(priors))), priors, 1.0, 1e-100)
+        n = 5_000
+        mc = monte_carlo_win_probabilities(model, n, seed=26)
+        assert mc.tie_count == n
+        assert mc.ordering_counts == {ordering: n}
+
+    @pytest.mark.parametrize("n", [4, 40])
+    def test_two_zero_priors_tally_without_warning(self, n):
+        # both zero-prior weights are -inf, and -inf - -inf is NaN; the two
+        # live candidates are the outer ones, and the dead rank last by index
+        priors = (0.5,) + (0.0,) * (n - 2) + (0.5,)
+        model = ElectionModel(tuple(float(j) for j in range(n)), priors, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc = monte_carlo_win_probabilities(model, 10_000, seed=25)
+        dead = tuple(range(1, n - 1))
+        assert set(mc.ordering_counts) == {(0, n - 1, *dead), (n - 1, 0, *dead)}
+        assert mc.tie_count == 0
+
+    def test_never_reads_the_partition(self, monkeypatch):
+        # the tally's runs look like the partition's cells; it checks that
+        # partition, so it must reach the orderings without it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the tally read the partition")
+
+        monkeypatch.setattr(ElectionModel, "crossing_table", property(forbidden))
+        monkeypatch.setattr(ElectionModel, "lead_intervals", property(forbidden))
+        for module, name in [
+            (model_module, "_crossings"), (outcomes_module, "_crossings"),
+            (model_module, "_lead_intervals"), (outcomes_module, "_lead_intervals"),
+            (outcomes_module, "ordering_partition"), (voteflow, "ordering_partition"),
+            (simulation_module, "_lead_masses"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        model = ElectionModel((0.0, 1.0, 2.0, 3.0), (0.3, 0.2, 0.0, 0.5), 1.0, 1.0)
+        mc = monte_carlo_win_probabilities(model, 10_000, seed=27)
+        assert sum(mc.ordering_counts.values()) == 10_000
+
     def test_counts_partition_the_paths(self, polarised_model):
         mc = monte_carlo_win_probabilities(polarised_model, 10_000, seed=17)
         assert sum(mc.ordering_counts.values()) == 10_000
