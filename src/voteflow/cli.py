@@ -543,6 +543,9 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
 def cmd_deadzone(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
     reports = {name: is_dead_zone(model, i) for i, name in enumerate(cfg.names)}
+    for name, rep in reports.items():  # checked before _emit opens --out: CSV would write inf
+        if rep.sigma_bound is not None and not math.isfinite(rep.sigma_bound):
+            raise NumericalError(f"deadzone: sigma_bound of {name} is {rep.sigma_bound}")
     return Report(
         json=lambda: {
             "spectrum_convention": SPECTRUM_NOTE,

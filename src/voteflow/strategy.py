@@ -7,7 +7,7 @@ candidates the lockout condition is equivalent to an upper bound on the
 information flow rate, so the rate at which the dead zone opens up can be
 solved for. Interior candidates also face a hard ceiling on their
 election-day support, the root of a one-dimensional first-order condition,
-found for a whole rate grid by one batched bracket-and-bisection.
+found for a whole rate grid by one batched bisection over the floats.
 
 Sweeps evaluate win probabilities over grids of the rate, the current
 support rates, and the spectrum positions. Each takes the caller's model,
@@ -49,10 +49,6 @@ __all__ = [
     "sweep_priors",
     "default_sigma_grid",
 ]
-
-#: Residual tolerance for the support-maximum first-order condition,
-#: measured on the posterior-weighted (overflow-free) form.
-ROOT_RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DeadZoneReport:
@@ -191,10 +187,11 @@ def max_support_point(model: ElectionModel, k: int) -> MaxSupportReport:
 
         g(y) = sum_j (x_j - x_k) * pi_j(y)  =  0
 
-    is strictly increasing in y (g is the posterior mean minus x_k), so a
-    guaranteed sign-change bracket plus bisection is unconditionally
-    convergent. Requires positive prior mass strictly on both sides of x_k;
-    otherwise the support curve is monotone and has no interior peak.
+    is strictly increasing in y (g is the posterior mean minus x_k), so
+    bisecting its sign change over every finite signal ends on two
+    neighbouring floats, at any scale of the positions. Requires positive
+    prior mass strictly on both sides of x_k; otherwise the support curve is
+    monotone and has no interior peak.
     """
     return _max_support_points(model, [k])[0]
 
@@ -219,42 +216,36 @@ def _support_peaks(model: ElectionModel, variances, ks):
     """``max_support_point``'s search for candidates ks[K] of the model's
     race at terminal variances V[R]: y_star, pi_max and residual [R, K].
 
-    Every element runs the scalar search: its bracket ends double from the
-    radius 10 (|log p_min| + max x^2 V + 1) at most 60 times; then at most
-    500 bisection steps, stopped once |g| < ROOT_RESIDUAL_TOL, keep the mid
-    point of smallest |g|. All three are NaN where the bracket holds no sign
-    change, which happens exactly when no candidate on one side of x_k has a
-    positive prior.
+    g is bisected over the floats themselves: each float y is keyed by an
+    integer that sorts as y does (its bit pattern, negated for negative y),
+    from -+reach = -+float max / max(1, 2 max|x|), where every y x_j is
+    finite. Under 2^64 keys apart, the ends meet as neighbouring floats
+    after 64 halvings at any scale; y_star is the one with the smaller |g|.
+    All three are NaN where g(-reach) < 0 < g(reach) fails, which happens
+    exactly when no candidate on one side of x_k has a positive prior.
     """
     v = np.asarray(variances, dtype=np.float64)[:, None]
     x = model.positions_arr
     offsets = (x - x[ks, None])[..., None]  # [K, N, 1]: x_j - x_k
 
-    def g(y):
-        support = _softmax(_log_weight(model, y, v))
+    def y_of(key):  # the float that key sorts as
+        return np.copysign(np.abs(key).view(np.float64), key)
+
+    def g(key):
+        support = _softmax(_log_weight(model, y_of(key), v))
         return np.matmul(support[..., None, :], offsets)[..., 0, 0]
 
-    p_min = min(p for p in model.priors if p > 0.0)
-    hi = 10.0 * (abs(math.log(p_min)) + np.max(x * x) * v + 1.0) * np.ones(len(ks))
-    lo = -hi
-    for _ in range(60):
-        widen_lo, widen_hi = ~(g(lo) < 0.0), ~(g(hi) > 0.0)
-        if not (widen_lo.any() or widen_hi.any()):
-            break
-        lo, hi = np.where(widen_lo, 2.0 * lo, lo), np.where(widen_hi, 2.0 * hi, hi)
-    g_lo = g(lo)
-    active = (g_lo < 0.0) & (g(hi) > 0.0)
-    y_star, residual = np.where(active, lo, np.nan), np.where(active, np.abs(g_lo), np.nan)
-    for _ in range(500):
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        better = active & (np.abs(g_mid) < residual)
-        y_star[better], residual[better] = mid[better], np.abs(g_mid[better])
-        active &= ~(np.abs(g_mid) < ROOT_RESIDUAL_TOL)
-        lo = np.where(active & (g_mid < 0.0), mid, lo)
-        hi = np.where(active & ~(g_mid < 0.0), mid, hi)
+    reach = np.finfo(np.float64).max / 2.0 / max(0.5, np.max(np.abs(x)))
+    lo = np.full((len(v), len(ks)), -reach.view(np.int64))
+    hi = -lo
+    found = (g(lo) < 0.0) & (g(hi) > 0.0)
+    for _ in range(64):
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor of the mean, without overflow
+        below = g(mid) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    g_lo, g_hi = np.abs(g(lo)), np.abs(g(hi))
+    y_star = np.where(found, y_of(np.where(g_hi < g_lo, hi, lo)), np.nan)
+    residual = np.where(found, np.minimum(g_lo, g_hi), np.nan)
     pi_max = _softmax(_log_weight(model, y_star, v))[:, np.arange(len(ks)), ks]
     return y_star, pi_max, residual
 

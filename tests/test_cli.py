@@ -28,7 +28,7 @@ from voteflow import (
 from voteflow.cli import Report, _emit, build_parser, load_config, main
 from voteflow.errors import NumericalError
 
-from conftest import POLARISED_P, POLARISED_X
+from conftest import POLARISED_P, POLARISED_X, golden_section_max
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -352,6 +352,30 @@ class TestDeadzoneAndMaxSupport:
         assert obj["max_support"]["c1"] == [1.0, 1.0, 1.0]
         assert obj["at_config_sigma"]["c3"]["residual"] < 1e-10
 
+    def test_maxsupport_at_near_zero_positions(self, tmp_path, capsys):
+        # positions x 1e-160 at rate 1 leave x_j^2 V / 2 below rounding, so
+        # k's support is 1 / sum_j e^((x_j - x_k) t) at every rate, with t the
+        # signal in units of 1e160; its peak is 0.26079446214781116 for the
+        # second candidate (a 30-digit root solve of its first-order condition)
+        config = CONFIG_DIR / "five_candidate_peak_support.json"
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        x = [cand["position"] for cand in payload["candidates"]]
+        for cand in payload["candidates"]:
+            cand["position"] *= 1e-160
+        assert main(["maxsupport", "--config", write_config(tmp_path, payload)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        for k, name in enumerate(["centre_left", "centre", "centre_right"], start=1):
+
+            def support(t, k=k):
+                return 1.0 / math.fsum(math.exp((xj - x[k]) * t) for xj in x)
+
+            peak = support(golden_section_max(support, -10.0, 10.0))
+            assert obj["at_config_sigma"][name]["pi_max"] == pytest.approx(peak, abs=1e-14)
+            assert obj["max_support"][name] == pytest.approx([peak] * 10, abs=1e-14)
+        assert obj["at_config_sigma"]["centre_left"]["pi_max"] == pytest.approx(
+            0.26079446214781116, abs=1e-15
+        )
+
     @pytest.mark.parametrize("scale", [1e-160, 1e150])
     @pytest.mark.parametrize("command", ["forecast", "deadzone"])
     def test_extreme_position_scales_give_the_scaled_bound(self, tmp_path, capsys, command, scale):
@@ -365,6 +389,24 @@ class TestDeadzoneAndMaxSupport:
         if command == "deadzone":
             bound = json.loads(capsys.readouterr().out)["dead_zones"]["centre"]["sigma_bound"]
             assert bound * scale == pytest.approx(0.8395903894992673, rel=1e-12)
+
+    # subnormal gaps overflow the crossing table too, with numpy's warning;
+    # that fault is not this test's subject
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_infinite_bound_exits_before_writing(self, tmp_path, capsys, fmt):
+        # at positions x 1e-310 the gaps are subnormal and (log p0 - log p1)
+        # over a gap overflows, so the centre's bound is inf: no report
+        config = CONFIG_DIR / "polarised_low_info.json"
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        for cand in payload["candidates"]:
+            cand["position"] *= 1e-310
+        out = tmp_path / f"deadzone.{fmt}"
+        argv = ["deadzone", "--config", write_config(tmp_path, payload), "--format", fmt]
+        assert main(argv) == 4
+        assert main([*argv, "--out", str(out)]) == 4
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "error: deadzone: sigma_bound of centre is inf\n" * 2)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_subnormal_centre_prior_gives_a_finite_bound(self, tmp_path, capsys, fmt):

@@ -20,12 +20,17 @@ from voteflow import (
     condition_on_history,
     interval_probability,
     is_dead_zone,
+    max_support_curve,
+    max_support_point,
     ordering_partition,
     simulate_paths,
     win_probabilities,
     winprob_paths,
 )
+from voteflow.errors import NoBracket
 from voteflow.outcomes import _win_kernel
+
+from conftest import golden_section_max
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -88,15 +93,69 @@ def test_common_position_shift_leaves_win_probabilities_unchanged(model, shift):
 def test_joint_scale_of_positions_and_rates_leaves_win_probabilities_unchanged(model, scale):
     # thresholds scale by 1/scale in Y-space and every interval's standard
     # score is unchanged, piecewise schedules included
+    np.testing.assert_allclose(
+        win_probabilities(scaled_race(model, scale)).win_probs,
+        win_probabilities(model).win_probs,
+        atol=1e-12,
+    )
+
+
+def scaled_race(model, scale):
+    """The race with every position times scale and every rate divided by it."""
     schedule = InfoSchedule.piecewise(
         model.schedule.breakpoints, [r / scale for r in model.schedule.rates]
     )
-    scaled = ElectionModel(
+    return ElectionModel(
         tuple(x * scale for x in model.positions), model.priors, model.horizon, schedule
     )
-    np.testing.assert_allclose(
-        win_probabilities(scaled).win_probs, win_probabilities(model).win_probs, atol=1e-12
-    )
+
+
+def golden_peak(model, k, v):
+    """Test-local peak of k's support at accumulated variance v as (signal,
+    support): golden section on a bracket of +-50 around x_k v, where the
+    posterior centres on x_k; these races put every peak well inside it."""
+    def support(y):
+        logs = [
+            math.log(p) + y * x - 0.5 * x * x * v if p > 0.0 else -math.inf
+            for x, p in zip(model.positions, model.priors)
+        ]
+        top = max(logs)
+        return math.exp(logs[k] - top) / math.fsum(math.exp(w - top) for w in logs)
+
+    centre = model.positions[k] * v
+    y = golden_section_max(support, centre - 50.0, centre + 50.0)
+    return y, support(y)
+
+
+@PROPERTY_SETTINGS
+@given(races(), st.integers(-150, 150))
+def test_joint_scale_of_positions_and_rates_leaves_support_peaks_unchanged(model, power):
+    # the signal scales by 1/scale and every posterior weight is unchanged,
+    # so each interior peak's support is the same and its signal times the
+    # scale is the unscaled one; a candidate with no supported rival on one
+    # side has no peak at any scale
+    scale = 10.0 ** power
+    scaled = scaled_race(model, scale)
+    grid = (0.5, 2.0)
+    curve = max_support_curve(scaled, [sigma / scale for sigma in grid]).values
+    for k in range(1, model.n_candidates - 1):
+        if not (any(model.priors[:k]) and any(model.priors[k + 1:])):
+            with pytest.raises(NoBracket):
+                max_support_point(scaled, k)
+            np.testing.assert_array_equal(curve[:, k], float(model.priors[k] > 0.0))
+            continue
+        report, reference = max_support_point(scaled, k), max_support_point(model, k)
+        y_gold, pi_gold = golden_peak(model, k, model.terminal_variance)
+        assert report.pi_max == pytest.approx(pi_gold, rel=0.0, abs=1e-14)
+        assert report.pi_max == pytest.approx(reference.pi_max, rel=0.0, abs=1e-14)
+        assert report.y_star * scale == pytest.approx(reference.y_star, rel=1e-12, abs=1e-12)
+        if model.priors[k] > 0.0:  # a zero prior's support is flat at 0
+            # golden section finds a flat maximum's signal only to about the
+            # square root of the support's rounding error
+            assert reference.y_star == pytest.approx(y_gold, rel=0.0, abs=1e-5)
+        for sigma, peak in zip(grid, curve[:, k]):
+            _, pi_gold = golden_peak(model, k, sigma * sigma * model.horizon)
+            assert peak == pytest.approx(pi_gold, rel=0.0, abs=1e-14)
 
 
 def crossing(model, a, b):

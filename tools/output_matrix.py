@@ -2,22 +2,23 @@
 
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 20
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 21
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
 axes, simulate with and without ``--seed 7``, calibrate, calibrate
 ``--data`` on a fixed 201-row poll CSV, on a constant 5-row one and on one
 whose second row sums to 1.1, calibrate on two target configs: the second
 candidate at win probability 0 and the last at 0.45, forecast and deadzone
 on a zero-first config: the first candidate's prior moved onto the second,
-forecast and deadzone on a near config: every position times 1e-160, and
-simulate on a far config: every position times 1e200) on each config in
-``configs/``, in both formats, once to stdout and once to ``--out``: 480
-runs. The poll CSVs and derived configs are written to ``OUT_DIR/polls/``.
-Each run leaves
+forecast, deadzone and maxsupport on a near config: every position times
+1e-160, and simulate on a far config: every position times 1e200) on each
+config in ``configs/``, in both formats, once to stdout and once to
+``--out``: 504 runs. The poll CSVs and derived configs are written to
+``OUT_DIR/polls/``. Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
-``stdout``, ``stderr``, ``exit_code`` and, for ``--out`` runs, the written
-``report.<format>``. Runs use relative paths from OUT_DIR, so two checkouts'
-trees differ only where their outputs do, and ``diff -r`` compares them.
+``stdout``, ``stderr`` (with SRC_DIR written as ``<src>``), ``exit_code``
+and, for ``--out`` runs, the written ``report.<format>``. Runs use relative
+paths from OUT_DIR, so two checkouts' trees differ only where their outputs
+do, and ``diff -r`` compares them.
 
 ``--compare`` then lists every file that differs from OTHER_OUT_DIR, with
 the largest absolute difference between corresponding numbers, or
@@ -80,7 +81,7 @@ INVOCATIONS = {
     },
     **{
         f"{name}-near": [name, "--config", "polls/{stem}-near.json"]
-        for name in ("forecast", "deadzone")
+        for name in ("forecast", "deadzone", "maxsupport")
     },
     "simulate-far": ["simulate", "--config", "polls/{stem}-far.json"],
 }
@@ -163,7 +164,8 @@ def run_one(src: Path, out_dir: Path, stem: str, name: str, fmt: str, dest: str)
         check=False,
     )
     (out_dir / run_dir / "stdout").write_bytes(proc.stdout)
-    (out_dir / run_dir / "stderr").write_bytes(proc.stderr)
+    # warnings name the source file, which differs between checkouts
+    (out_dir / run_dir / "stderr").write_bytes(proc.stderr.replace(bytes(src), b"<src>"))
     (out_dir / run_dir / "exit_code").write_text(f"{proc.returncode}\n", encoding="utf-8")
 
 
