@@ -11,9 +11,9 @@ recover sigma^2 as a quadratic-variation ratio:
 Implied route: invert the closed-form win probability for the rate that
 reproduces a target probability. Win probabilities need not be monotone in
 the rate when there are more than two candidates, so the inversion scans a
-grid, refines every bracket of the target in one batched bisection, and
-returns all solutions (including the edges of exact plateaus, e.g. the
-dead-zone boundary when the target is zero).
+grid, bisects every bracket of the target together on the float line down
+to two neighbouring floats, and returns all solutions (including the edges
+of exact plateaus, e.g. the dead-zone boundary when the target is zero).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     Unattainable,
     ValidationError,
 )
-from .model import ElectionModel, _rate_variances
+from .model import ElectionModel, _bisect_floats, _rate_variances
 from .outcomes import _win_kernel
 
 __all__ = [
@@ -43,11 +43,10 @@ __all__ = [
 _ROW_SUM_TOL = 1e-6
 
 #: ``implied_sigma``'s scan: SCAN_POINTS geometric rates over [SCAN_SIGMA_MIN,
-#: SCAN_SIGMA_MAX], each bracket of the target bisected to a width of SCAN_TOL.
+#: SCAN_SIGMA_MAX], each bracket of the target bisected to two neighbouring floats.
 SCAN_SIGMA_MIN = 1e-4
 SCAN_SIGMA_MAX = 1e3
 SCAN_POINTS = 200
-SCAN_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,14 +152,17 @@ def implied_sigma(model: ElectionModel, candidate: int, target: float) -> tuple[
     being solved for, is not read. Scans SCAN_POINTS geometric rates over
     [SCAN_SIGMA_MIN, SCAN_SIGMA_MAX]. Each pair of neighbouring scan points
     on different sides of the target (above, below, or exactly on it) is a
-    bracket: a plateau edge when one end hits the target exactly, else a
-    sign change. One bisection refines all brackets together to SCAN_TOL,
-    one kernel call over every midpoint per step. A plateau edge returns
-    its last exact hit: the interior edge of a run where the probability
-    equals the target (for a zero target inside a dead zone this is the
-    supremum solution, the dead-zone rate bound). A sign change returns its
-    final midpoint, or a midpoint that hits the target exactly. Raises
-    Unattainable when the scan never meets or crosses the target.
+    bracket, and one bisection over the floats (``_bisect_floats``) refines
+    every bracket together, one kernel call over every midpoint per halving,
+    until its ends are two neighbouring floats. A midpoint replaces the left
+    end where it lies on another side than the right end, and, where the
+    left end hits the target exactly, only where the midpoint does too.
+    Where one scan end hits the target exactly, the bracket returns its
+    last exact hit: the interior edge of a run where the probability equals
+    the target (for a zero target, the dead-zone rate bound). Otherwise it
+    returns its left end, which hits the target or has a neighbouring float
+    on the other side of it. Raises Unattainable when the scan never meets
+    or crosses the target.
     """
     if not (0.0 <= target <= 1.0):
         raise ValidationError(f"target probability must lie in [0, 1], got {target}")
@@ -176,33 +178,18 @@ def implied_sigma(model: ElectionModel, candidate: int, target: float) -> tuple[
     gap = win(grid) - target
     side = np.sign(gap)
     if not side.any():
-        solutions = [float(grid[0]), float(grid[-1])]  # target met everywhere
-    else:
-        # a bracket holds its exact-hit end if it has one, else its left end
-        k = np.flatnonzero(side[:-1] != side[1:])
-        held_at = np.where(side[k + 1] == 0, k + 1, k)
-        held, far, held_side = grid[held_at], grid[2 * k + 1 - held_at], side[held_at]
-        for _ in range(200):
-            live = np.abs(far - held) > SCAN_TOL
-            if not live.any():
-                break
-            mid = 0.5 * (held[live] + far[live])
-            mid_side = np.sign(win(mid) - target)
-            on_held = mid_side == held_side[live]
-            # an exact hit also collapses a sign-change bracket onto itself
-            held[live] = np.where(on_held | (mid_side == 0), mid, held[live])
-            far[live] = np.where(on_held, far[live], mid)
-        solutions = np.where(held_side == 0, held, 0.5 * (held + far)).tolist()
-
-    if not solutions:
+        return (float(grid[0]), float(grid[-1]))  # target met everywhere
+    k = np.flatnonzero(side[:-1] != side[1:])
+    if not len(k):
         raise Unattainable(
             f"target {target} for candidate {candidate} not reached on "
             f"[{SCAN_SIGMA_MIN}, {SCAN_SIGMA_MAX}] (achieved range [{target + gap.min():.6g}, "
             f"{target + gap.max():.6g}])"
         )
-    solutions.sort()
-    deduped = [solutions[0]]
-    for s in solutions[1:]:
-        if s - deduped[-1] > 10.0 * SCAN_TOL:
-            deduped.append(s)
-    return tuple(deduped)
+
+    def moves_lo(mid):
+        mid_side = np.sign(win(mid) - target)
+        return (mid_side != side[k + 1]) & ((side[k] != 0) | (mid_side == 0))
+
+    lo, hi = _bisect_floats(grid[k].view(np.int64), grid[k + 1].view(np.int64), moves_lo)
+    return tuple(sorted(set(np.where(side[k + 1] == 0, hi, lo).tolist())))

@@ -362,6 +362,25 @@ def _lead_intervals(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.where((p > 0.0) & (lower < upper), (lower, upper), 0.0)
 
 
+def _bisect_floats(lo: np.ndarray, hi: np.ndarray, moves_lo):
+    """Halve the float intervals between int64 keys lo < hi until each pair
+    of ends is two neighbouring floats, and return those ends as floats. A
+    float's key is its bit pattern, negated for a negative float, so keys
+    sort as their floats do and positive floats are their own keys; keys
+    under 2^64 apart meet within 64 halvings, at any scale and with no
+    tolerance. ``moves_lo(y)`` says where the float y at a midpoint replaces
+    lo; elsewhere it replaces hi."""
+
+    def float_of(key):
+        return np.copysign(np.abs(key).view(np.float64), key)
+
+    while np.any(lo + 1 < hi):  # not hi - lo > 1, which overflows for ends of opposite sign
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor of the mean, without overflow
+        move = moves_lo(float_of(mid))
+        lo, hi = np.where(move, mid, lo), np.where(move, hi, mid)
+    return float_of(lo), float_of(hi)
+
+
 def _softmax(log_weight: np.ndarray) -> np.ndarray:
     """Weights normalized along the last axis, max-shifted so none overflows."""
     w = np.exp(log_weight - np.max(log_weight, axis=-1, keepdims=True))

@@ -29,11 +29,14 @@ from .errors import (
     NoBracket,
     NonIncreasingPositions,
     NotInteriorCandidate,
+    NumericalError,
     RequiresThreeCandidates,
     ValidationError,
     ZeroPrior,
 )
-from .model import ElectionModel, _log_weight, _positions, _priors, _rate_variances, _softmax
+from .model import (
+    ElectionModel, _bisect_floats, _log_weight, _positions, _priors, _rate_variances, _softmax
+)
 from .outcomes import _win_kernel
 
 __all__ = [
@@ -216,35 +219,40 @@ def _support_peaks(model: ElectionModel, variances, ks):
     """``max_support_point``'s search for candidates ks[K] of the model's
     race at terminal variances V[R]: y_star, pi_max and residual [R, K].
 
-    g is bisected over the floats themselves: each float y is keyed by an
-    integer that sorts as y does (its bit pattern, negated for negative y),
-    from -+reach = -+float max / max(1, 2 max|x|), where every y x_j is
-    finite. Under 2^64 keys apart, the ends meet as neighbouring floats
-    after 64 halvings at any scale; y_star is the one with the smaller |g|.
-    All three are NaN where g(-reach) < 0 < g(reach) fails, which happens
-    exactly when no candidate on one side of x_k has a positive prior.
+    g is bisected over the floats themselves (``_bisect_floats``), from
+    -+reach = -+float max / max(1, 2 max|x|), where every y x_j is finite;
+    y_star is the final end with the smaller |g|. All three are NaN where
+    g(-reach) < 0 < g(reach) fails, which happens exactly when no candidate
+    on one side of x_k has a positive prior. A g that is not finite at
+    either end (every log weight -inf: x_j^2 V / 2 overflows) raises
+    NumericalError.
     """
     v = np.asarray(variances, dtype=np.float64)[:, None]
     x = model.positions_arr
     offsets = (x - x[ks, None])[..., None]  # [K, N, 1]: x_j - x_k
 
-    def y_of(key):  # the float that key sorts as
-        return np.copysign(np.abs(key).view(np.float64), key)
-
-    def g(key):
-        support = _softmax(_log_weight(model, y_of(key), v))
+    def g(y):
+        support = _softmax(_log_weight(model, y, v))
         return np.matmul(support[..., None, :], offsets)[..., 0, 0]
 
     reach = np.finfo(np.float64).max / 2.0 / max(0.5, np.max(np.abs(x)))
-    lo = np.full((len(v), len(ks)), -reach.view(np.int64))
-    hi = -lo
-    found = (g(lo) < 0.0) & (g(hi) > 0.0)
-    for _ in range(64):
-        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor of the mean, without overflow
-        below = g(mid) < 0.0
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    g_lo, g_hi = np.abs(g(lo)), np.abs(g(hi))
-    y_star = np.where(found, y_of(np.where(g_hi < g_lo, hi, lo)), np.nan)
+    ends = np.array([-reach, reach])[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_ends = g(ends)  # [2, R, K]
+        if not np.isfinite(g_ends).all():
+            e, r, i = np.argwhere(~np.isfinite(g_ends))[0]
+            y, var = ends.flat[e].item(), v[r, 0].item()
+            log_weight = _log_weight(model, y, var)
+            raise NumericalError(
+                f"peak support of candidate {ks[i]}: posterior weights "
+                f"{_softmax(log_weight).tolist()} at y={y!r}, V={var!r} are not finite "
+                f"(log weights {log_weight.tolist()})"
+            )
+    found = (g_ends[0] < 0.0) & (g_ends[1] > 0.0)
+    lo = np.full(found.shape, -reach.view(np.int64))
+    y_lo, y_hi = _bisect_floats(lo, -lo, lambda y: g(y) < 0.0)
+    g_lo, g_hi = np.abs(g(y_lo)), np.abs(g(y_hi))
+    y_star = np.where(found, np.where(g_hi < g_lo, y_hi, y_lo), np.nan)
     residual = np.where(found, np.minimum(g_lo, g_hi), np.nan)
     pi_max = _softmax(_log_weight(model, y_star, v))[:, np.arange(len(ks)), ks]
     return y_star, pi_max, residual

@@ -376,6 +376,20 @@ class TestDeadzoneAndMaxSupport:
             0.26079446214781116, abs=1e-15
         )
 
+    def test_maxsupport_with_non_finite_weights_is_numerical_error(self, tmp_path, capsys):
+        # positions x 1e200 overflow x_j^2 V / 2, so every log weight is -inf
+        # and g is NaN at both search ends: a numerical failure, not the
+        # one-sided support that NoBracket reports
+        payload = json.loads((CONFIG_DIR / "polarised_three_way.json").read_text(encoding="utf-8"))
+        for cand in payload["candidates"]:
+            cand["position"] *= 1e200
+        assert main(["maxsupport", "--config", write_config(tmp_path, payload)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: peak support of candidate 1: posterior weights [nan, nan, nan]")
+        assert "not finite (log weights [-inf, -inf, -inf])" in err
+
     @pytest.mark.parametrize("scale", [1e-160, 1e150])
     @pytest.mark.parametrize("command", ["forecast", "deadzone"])
     def test_extreme_position_scales_give_the_scaled_bound(self, tmp_path, capsys, command, scale):

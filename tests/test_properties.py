@@ -11,13 +11,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from voteflow import (
     ElectionModel,
     InfoSchedule,
     condition_on_history,
+    dead_zone_sigma_bound,
+    implied_sigma,
     interval_probability,
     is_dead_zone,
     max_support_curve,
@@ -27,7 +29,8 @@ from voteflow import (
     win_probabilities,
     winprob_paths,
 )
-from voteflow.errors import NoBracket
+from voteflow.calibration import SCAN_SIGMA_MAX
+from voteflow.errors import NoBracket, Unattainable
 from voteflow.outcomes import _win_kernel
 
 from conftest import golden_section_max
@@ -310,3 +313,72 @@ def test_partition_cells_follow_the_crossings(model):
                 left = cell.upper <= c or near(cell.upper, c)
                 assert left or cell.lower >= c or near(cell.lower, c)
                 assert (rank[a] < rank[b]) == left
+
+
+@st.composite
+def small_race_inputs(draw):
+    """Raw inputs of a 2- or 3-candidate race drawn as ``races`` draws them:
+    (positions, priors, horizon). Every model a test compares is built from
+    these, never from another model's priors, which are renormalised on
+    construction and can move by an ulp when normalised again."""
+    n = draw(st.integers(2, 3))
+    gaps = draw(st.lists(st.floats(0.3, 1.5), min_size=n - 1, max_size=n - 1))
+    positions = draw(st.floats(-3.0, 3.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    zeroed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if not zeroed.all():
+        weights[zeroed] = 0.0
+    return tuple(positions.tolist()), tuple((weights / weights.sum()).tolist()), draw(
+        st.floats(0.5, 2.0)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(small_race_inputs(), st.integers(0, 2), st.floats(-3.0, 2.0))
+def test_implied_rates_are_crossings_on_the_float_line(inputs, k, log_rate):
+    # the target is the win probability at a rate on the scan, so it is met
+    # or crossed there; each solution hits it exactly, or a neighbouring
+    # float lies on the other side of it
+    positions, priors, horizon = inputs
+    k %= len(positions)
+
+    def win(rate):
+        return win_probabilities(ElectionModel(positions, priors, horizon, rate)).win_probs[k]
+
+    target = win(10.0**log_rate)
+    try:
+        solutions = implied_sigma(ElectionModel(positions, priors, horizon, 1.0), k, target)
+    except Unattainable:  # met only at a peak the scan steps over
+        assume(False)
+    for s in solutions:
+        gap = np.sign(win(s) - target)
+        assert gap == 0.0 or any(
+            np.sign(win(math.nextafter(s, toward)) - target) == -gap for toward in (0.0, math.inf)
+        )
+
+
+@st.composite
+def centre_lockout_inputs(draw):
+    """Raw inputs of a three-candidate race whose centre has the smallest
+    prior, up to 10 times below the smaller flank's, so small enough rates
+    lock it out: (positions, priors, horizon)."""
+    gaps = draw(st.lists(st.floats(0.3, 1.5), min_size=2, max_size=2))
+    positions = draw(st.floats(-3.0, 3.0)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    left, right = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0))
+    weights = np.array([left, draw(st.floats(0.1, 0.99)) * min(left, right), right])
+    return tuple(positions.tolist()), tuple((weights / weights.sum()).tolist()), draw(
+        st.floats(0.5, 2.0)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(centre_lockout_inputs())
+def test_implied_zero_for_the_centre_ends_on_the_dead_zone_bound(inputs):
+    # the bound is where the centre's lead interval closes; at terminal
+    # variances of at least 0.125 the interval's mass just above it is a
+    # positive double, so the scan's exact zeros end within rounding of it
+    model = ElectionModel(*inputs, 1.0)
+    bound = dead_zone_sigma_bound(model)
+    assume(bound * bound * model.horizon >= 0.125 and bound < SCAN_SIGMA_MAX)
+    solutions = implied_sigma(model, 1, 0.0)
+    assert any(s == pytest.approx(bound, rel=1e-12, abs=0.0) for s in solutions)

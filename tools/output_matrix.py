@@ -2,18 +2,18 @@
 
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 21
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 22
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
 axes, simulate with and without ``--seed 7``, calibrate, calibrate
 ``--data`` on a fixed 201-row poll CSV, on a constant 5-row one and on one
-whose second row sums to 1.1, calibrate on two target configs: the second
-candidate at win probability 0 and the last at 0.45, forecast and deadzone
-on a zero-first config: the first candidate's prior moved onto the second,
-forecast, deadzone and maxsupport on a near config: every position times
-1e-160, and simulate on a far config: every position times 1e200) on each
-config in ``configs/``, in both formats, once to stdout and once to
-``--out``: 504 runs. The poll CSVs and derived configs are written to
-``OUT_DIR/polls/``. Each run leaves
+whose second row sums to 1.1, calibrate on three target configs: the second
+candidate at win probability 0, the last at 0.45 and the first at its own
+prior, forecast and deadzone on a zero-first config: the first candidate's
+prior moved onto the second, forecast, deadzone and maxsupport on a near
+config: every position times 1e-160, and simulate on a far config: every
+position times 1e200) on each config in ``configs/``, in both formats, once
+to stdout and once to ``--out``: 528 runs. The poll CSVs and derived
+configs are written to ``OUT_DIR/polls/``. Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
 ``stdout``, ``stderr`` (with SRC_DIR written as ``<src>``), ``exit_code``
 and, for ``--out`` runs, the written ``report.<format>``. Runs use relative
@@ -41,10 +41,17 @@ from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-# implied-rate targets as (candidate index, win probability): the second
-# candidate at 0 reaches a dead-zone edge where there is one, and the last
-# at 0.45 crosses a humped curve twice on the polarised configs
-TARGETS = {"second-at-0": (1, 0.0), "last-at-0.45": (-1, 0.45)}
+# implied-rate targets as (candidate index, win probability, or "prior" for
+# the candidate's own prior): the second candidate at 0 reaches a dead-zone
+# edge where there is one, the last at 0.45 crosses a humped curve twice on
+# the polarised configs, and the first at its prior, the win probability
+# that full information gives, reaches the edge of the plateau where it
+# holds exactly
+TARGETS = {
+    "second-at-0": (1, 0.0),
+    "last-at-0.45": (-1, 0.45),
+    "first-at-prior": (0, "prior"),
+}
 
 # flat poll CSVs as the amount added to the first support of the second
 # row: a constant series (sigma 0) and a row summing to 1.1 (exit 3)
@@ -125,8 +132,10 @@ def write_flat_polls(config: dict, stem: str, polls: Path, rows: int = 5) -> Non
 def write_targets(config: dict, stem: str, polls: Path) -> None:
     """The config once per entry of TARGETS, with that implied-rate target."""
     for label, (k, probability) in TARGETS.items():
-        name = config["candidates"][k]["name"]
-        target = {"candidate": name, "win_probability": probability}
+        candidate = config["candidates"][k]
+        if probability == "prior":
+            probability = candidate["prior"]
+        target = {"candidate": candidate["name"], "win_probability": probability}
         text = json.dumps({**config, "target": target}, indent=2)
         (polls / f"{stem}-{label}.json").write_text(text + "\n", encoding="utf-8")
 
