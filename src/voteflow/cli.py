@@ -23,7 +23,7 @@ import sys
 import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -323,11 +323,43 @@ def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
 
 
+def _listed(items, pad: str) -> str:
+    """``json.dumps(items, indent=2)`` of nested lists of numbers, lines led by ``pad``."""
+    if not (isinstance(items, list) and items):
+        return repr(items)  # a number, or []
+    inner = pad + "  "
+    texts = (_listed(i, inner) for i in items) if isinstance(items[0], list) else map(repr, items)
+    return "[" + inner + ("," + inner).join(texts) + pad + "]"
+
+
+def _json_pieces(report: dict) -> Iterator[str]:
+    """``json.dumps(report, indent=2, allow_nan=False, default=np.ndarray.tolist)``
+    in pieces. Each numeric array, alone or in a list of them, is one piece
+    of its ``tolist()`` joined with ``repr``, checked finite once; any other
+    value, or a report with no such array, is ``json``'s own text."""
+    arrays = {k: v if isinstance(v, list) else [v] for k, v in report.items()}
+    arrays = {k: a for k, a in arrays.items() if a and all(
+        isinstance(x, np.ndarray) and x.dtype.kind in "fiu" for x in a)}
+    for i, (key, value) in enumerate(report.items() if arrays else ()):
+        yield ("," if i else "{") + "\n  " + json.dumps(key) + ": "
+        if key not in arrays:
+            yield json.dumps(value, indent=2, allow_nan=False, default=np.ndarray.tolist).replace("\n", "\n  ")
+            continue
+        inside = arrays[key] is value  # a list of arrays
+        pad = "\n    " if inside else "\n  "
+        for j, a in enumerate(arrays[key]):
+            if not np.isfinite(a).all():
+                raise ValueError(f"Out of range float values are not JSON compliant: {a[~np.isfinite(a)][0]}")
+            yield ("," if j else "[") + pad + _listed(a.tolist(), pad) if inside else _listed(a.tolist(), pad)
+        yield "\n  ]" if inside else ""
+    yield "\n}" if arrays else json.dumps(report, indent=2, allow_nan=False, default=np.ndarray.tolist)
+
+
 def _emit(report: Report, args, stdout: TextIO) -> None:
     """Write the report in ``args.format`` to ``args.out``, or to stdout,
-    as it is generated: the whole text is never held in memory. If writing
-    fails part-way, the ``--out`` file is removed before the error goes on;
-    a value JSON cannot hold (NaN, inf) is a ``NumericalError``."""
+    as it is generated: no more than one JSON array's text is held. If
+    writing fails part-way, the ``--out`` file is removed before the error
+    goes on; a value JSON cannot hold (NaN, inf) is a ``NumericalError``."""
     to_file = args.out is not None
     sink = open(args.out, "w", encoding="utf-8", newline="\n") if to_file else nullcontext(stdout)
     try:
@@ -338,10 +370,8 @@ def _emit(report: Report, args, stdout: TextIO) -> None:
                 template = ",".join(CSV_FORMATS[kind] for kind in report.kinds) + "\n"
                 fh.writelines(template % row for row in report.rows)
             else:
-                obj = report.json()
                 try:
-                    # arrays are listed one at a time, as the encoder reaches them
-                    json.dump(obj, fh, indent=2, allow_nan=False, default=np.ndarray.tolist)
+                    fh.writelines(_json_pieces(report.json()))
                 except ValueError as exc:
                     raise NumericalError(f"{args.command} report: {exc}") from exc
                 fh.write("\n")

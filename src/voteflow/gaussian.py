@@ -29,11 +29,17 @@ def normal_mass(lo: float, hi: float) -> float:
     return (t_lo if lo >= 0.0 else 1.0 - t_lo) - t_hi
 
 
-def normal_masses(z: np.ndarray) -> np.ndarray:
-    """``normal_mass`` of stacked ends z [2, ...], lower ends z[0] and upper
-    ends z[1], elementwise, with the same arithmetic."""
+def tail_values(z: np.ndarray) -> np.ndarray:
+    """The tail values t(z) of an array z, elementwise, as ``normal_mass``
+    forms them."""
     # mapping the builtin over a list beats np.frompyfunc and its object array
     scaled = (np.abs(z) / _SQRT2).ravel().tolist()
-    t = 0.5 * np.fromiter(map(math.erfc, scaled), np.float64, len(scaled)).reshape(z.shape)
-    t_lo, t_hi = t[0], t[1]
+    return 0.5 * np.fromiter(map(math.erfc, scaled), np.float64, len(scaled)).reshape(z.shape)
+
+
+def normal_masses(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``normal_mass`` of stacked ends z [2, ...], lower ends z[0] and upper
+    ends z[1], from their tail values t [2, ...], elementwise, with the same
+    arithmetic. Intervals that share an end can share its tail value."""
+    t_lo, t_hi = t
     return np.where(z[1] <= 0.0, t_hi - t_lo, np.where(z[0] >= 0.0, t_lo, 1.0 - t_lo) - t_hi)

@@ -274,7 +274,7 @@ class ElectionModel:
         return lower, upper
 
     def with_schedule(self, schedule: ScheduleLike) -> "ElectionModel":
-        return ElectionModel(self.positions, self.priors, self.horizon, _as_schedule(schedule))
+        return _with_schedule(self, schedule)
 
 
 def effective_variance(schedule: ScheduleLike, t0: float, t1: float) -> float:
@@ -352,14 +352,24 @@ def _pair_mask(n: int) -> np.ndarray:
 
 def _lead_intervals(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Lead intervals (L_k, U_k) of races with crossing tables [..., N, N]
-    (``_crossings``) and priors p [..., N], as ends [2, ..., N]: k's largest
-    crossing with a rival to its left (-inf if none) and its smallest with
-    one to its right (+inf if none); a pair of zero priors (NaN) never binds.
-    k ranks first exactly on (L_k, U_k). The one home of the dead rule: a k
-    with a zero prior or an empty interval never wins, and gets (0, 0)."""
+    (``_crossings``) and priors p [..., N], as ends [2, ..., N]. k can lead
+    when its prior is positive and its largest crossing with a rival to its
+    left (-inf if none) is below its smallest with one to its right (+inf if
+    none); a pair of zero priors (NaN) never binds. The one home of the dead
+    rule: a k that cannot lead never wins, and gets (0, 0). The live
+    intervals tile the line: live neighbours a < b meet at table[a, b],
+    which lies between a's smallest and b's largest crossing and equals both
+    wherever rounding does not split three crossings. k ranks first exactly
+    on (L_k, U_k)."""
     lower = np.fmax.reduce(table, axis=-2, initial=-np.inf)  # column k: rivals left of k
     upper = np.fmin.reduce(table, axis=-1, initial=np.inf)  # row k: rivals right of k
-    return np.where((p > 0.0) & (lower < upper), (lower, upper), 0.0)
+    live = (p > 0.0) & (lower < upper)
+    # the live candidates' ranks 1, 2, ..., m; a dead one's matches none
+    rank = np.where(live, np.add.accumulate(live, axis=-1, dtype=float), -live.shape[-1])
+    shared = np.where(rank[..., None, :] == rank[..., :, None] + 1.0, table, np.nan)
+    lower = np.fmax.reduce(shared, axis=-2, initial=-np.inf)
+    upper = np.fmin.reduce(shared, axis=-1, initial=np.inf)
+    return np.where(live, (lower, upper), 0.0)
 
 
 def _bisect_floats(lo: np.ndarray, hi: np.ndarray, moves_lo):
@@ -386,6 +396,15 @@ def _softmax(log_weight: np.ndarray) -> np.ndarray:
     w = np.exp(log_weight - np.max(log_weight, axis=-1, keepdims=True))
     w /= np.sum(w, axis=-1, keepdims=True)
     return w
+
+
+def _with_schedule(model: ElectionModel, schedule: ScheduleLike) -> ElectionModel:
+    """``model`` under another schedule, with its priors bit for bit: their
+    ``fsum`` is 1 only to rounding, so normalising them again could move
+    them by an ulp, and at a dead-zone edge that decides who can win."""
+    moved = ElectionModel(model.positions, model.priors, model.horizon, schedule)
+    object.__setattr__(moved, "priors", model.priors)
+    return moved
 
 
 def condition_on_history(model: ElectionModel, y: float, t: float) -> ElectionModel:

@@ -30,7 +30,7 @@ from .errors import (
     NonPositiveHorizon,
     NonPositiveRate,
 )
-from .gaussian import normal_mass, normal_masses
+from .gaussian import normal_mass, normal_masses, tail_values
 from .model import ElectionModel, _crossings, _lead_intervals
 
 __all__ = [
@@ -219,9 +219,9 @@ def _win_kernel(positions, priors, variance) -> np.ndarray:
     """Win probabilities of a batch of races: positions and priors [..., N]
     and terminal accumulated variances [...] broadcast to a result [..., N].
 
-    Candidate k wins with the ``_lead_masses`` of its lead interval: bit for
-    bit ``win_probabilities`` of each race, for up to 7 candidates (numpy
-    sums longer rows pairwise)."""
+    Candidate k wins with the ``_lead_masses`` of its lead interval, whose
+    live intervals tile the line: bit for bit ``win_probabilities`` of each
+    race, for up to 7 candidates (numpy sums longer rows pairwise)."""
     x = np.asarray(positions, dtype=np.float64)
     p = np.asarray(priors, dtype=np.float64)
     v = np.asarray(variance, dtype=np.float64)
@@ -231,11 +231,24 @@ def _win_kernel(positions, priors, variance) -> np.ndarray:
 def _lead_masses(ends, x, p, v) -> np.ndarray:
     """sum_j p_j P(L_k < Y <= U_k | j), Y ~ Normal(x_j V, V), of interval ends
     [2, ..., N], positions x and weights p [..., N] and variances V [...], as
-    [..., N], from the tail values of the standardised ends (``normal_masses``)."""
+    [..., N]. Each interval is empty, with equal ends, or live, and the live
+    ones must tile the line, as ``_lead_intervals`` makes them: each finite
+    end is the upper end of one live interval and the lower end of the next.
+    So each law with a positive weight finds its tail value once per finite
+    end, m - 1 for m live intervals rather than 2 N, and ``normal_masses``
+    of the standardised ends gives every mass as if each end had its own."""
     v = np.asarray(v)[..., None, None]
     # [2, ..., k, j]: k's interval ends standardised under candidate j's law
     z = (ends[..., :, None] - x[..., None, :] * v) / np.sqrt(v)
-    return (p[..., None, :] * normal_masses(z)).sum(axis=-1)
+    live = ends[0] < ends[1]
+    shared = (live & (ends[1] < np.inf))[..., :, None] & (p[..., None, :] > 0.0)
+    t_upper = np.zeros(shared.shape)  # 0: the tail value of an infinite end
+    t_upper[shared] = tail_values(z[1][shared])
+    # a live k's lower end is, bit for bit, the upper end of the live one
+    # before it; an empty interval's or a dead law's end adds 0
+    before = (ends[0][..., :, None] == ends[1][..., None, :]) & live[..., :, None]
+    t_lower = before @ t_upper
+    return (p[..., None, :] * normal_masses(z, (t_lower, t_upper))).sum(axis=-1)
 
 
 def two_candidate_win_probability(p: float, sigma: float, horizon: float) -> float:

@@ -14,8 +14,11 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voteflow
 from voteflow import (
@@ -833,6 +836,74 @@ def test_failed_report_leaves_no_out_file(tmp_path, capsys, monkeypatch, fmt, er
         assert "error: forecast report: Out of range float values" in err
 
 
+EDGE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-5]
+)
+
+
+def numeric_arrays():
+    shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+    return hnp.arrays(np.float64, shapes, elements=EDGE_FLOATS) | hnp.arrays(
+        np.int64, shapes, elements=st.integers(-(2**63), 2**63 - 1)
+    )
+
+
+# report-shaped objects: arrays and lists of them at the top, where the
+# writer lists them itself, and anything JSON holds beneath
+JSON_REPORTS = st.dictionaries(
+    st.text(max_size=4),
+    st.lists(numeric_arrays(), min_size=1, max_size=3) | st.recursive(
+        numeric_arrays() | EDGE_FLOATS | st.integers() | st.booleans() | st.none() | st.text(),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(JSON_REPORTS)
+def test_json_writer_writes_the_text_of_json_dumps(report):
+    out = io.StringIO()
+    args = argparse.Namespace(format="json", out=None, command="forecast")
+    _emit(Report(json=lambda: report, meta={}, header=[], kinds=[], rows=[]), args, out)
+    want = json.dumps(report, indent=2, allow_nan=False, default=np.ndarray.tolist)
+    assert out.getvalue() == want + "\n"
+
+
+def place_non_finite(report, where, bad):
+    if where == "array":
+        report["times"][3] = bad
+    elif where == "deep array":
+        report["rows"][1, 2, 3] = bad
+    elif where == "listed array":
+        report["paths"][1][0, 1] = bad
+    elif where == "nested":
+        report["meta"]["b"][1] = bad
+    else:
+        report[where] = bad
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["array", "deep array", "listed array", "nested", "sum"])
+def test_non_finite_json_value_exits_4_and_leaves_no_out_file(
+    tmp_path, capsys, monkeypatch, where, bad
+):
+    rows = np.linspace(0.0, 1.0, 24).reshape(2, 3, 4)
+    report = {"times": np.arange(5.0), "rows": rows.copy(), "paths": [rows[0].copy(), rows[1].copy()],
+              "meta": {"a": 1.0, "b": [0.5, 2.0]}, "sum": 1.0}
+    place_non_finite(report, where, bad)
+    monkeypatch.setattr(voteflow.cli, "cmd_forecast", lambda args, cfg: Report(
+        json=lambda: report, meta={}, header=[], kinds=[], rows=[]))
+    out = tmp_path / "report.json"
+    argv = ["forecast", "--config", write_config(tmp_path, POLARISED_CONFIG), "--format", "json"]
+    assert main([*argv, "--out", str(out)]) == 4
+    assert not out.exists()
+    assert main(argv) == 4
+    stdout, err = capsys.readouterr()
+    assert err.count(f"error: forecast report: Out of range float values are not JSON compliant: {bad!r}") == 2
+
+
 def run_fresh_process(argv):
     """Exit code of ``python -m voteflow.cli argv`` in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(voteflow.__file__).resolve().parents[1]))
@@ -1042,6 +1113,7 @@ def test_bundled_config_reports_agree_across_formats(tmp_path, capsys, config, a
         assert main([*argv, "--config", str(config), "--format", fmt]) == 0
         outputs[fmt] = capsys.readouterr().out
     doc = json.loads(outputs["json"], parse_constant=reject_constant)
+    assert outputs["json"] == json.dumps(doc, indent=2) + "\n"  # json's own layout
     meta, header, rows = parse_csv(outputs["csv"])
     want_meta, want_header, want_rows = csv_view(argv[0], doc, cfg)
     assert header == want_header

@@ -364,7 +364,7 @@ class TestWinProbabilities:
     def test_one_race_takes_the_scalar_form_and_batches_the_kernel(self, monkeypatch):
         # one race's win probabilities are scalar lead-interval masses; only
         # batches (here a rate sweep) reach the batched tail-value kernel
-        def batched(z):
+        def batched(*args):
             raise RuntimeError("normal_masses called")
 
         monkeypatch.setattr(voteflow.outcomes, "normal_masses", batched)

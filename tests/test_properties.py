@@ -25,13 +25,14 @@ from voteflow import (
     max_support_curve,
     max_support_point,
     ordering_partition,
+    posterior_support,
     simulate_paths,
     win_probabilities,
     winprob_paths,
 )
 from voteflow.calibration import SCAN_SIGMA_MAX
 from voteflow.errors import NoBracket, Unattainable
-from voteflow.outcomes import _win_kernel
+from voteflow.outcomes import _lead_masses, _win_kernel
 
 from conftest import golden_section_max
 
@@ -316,6 +317,64 @@ def test_partition_cells_follow_the_crossings(model):
 
 
 @st.composite
+def tie_races(draw):
+    """Three-candidate races built to tie: priors that put all three support
+    lines through one signal, so rounding can split their crossings."""
+    x = np.array(sorted(draw(st.sets(st.integers(-6, 6), min_size=3, max_size=3))), dtype=float)
+    rate = draw(st.floats(0.3, 2.0))
+    v = rate * rate
+    log_w = 0.5 * x * x * v - draw(st.floats(-3.0, 3.0)) * v * x
+    w = np.exp(log_w - log_w.max())
+    return ElectionModel(tuple(x.tolist()), tuple((w / w.sum()).tolist()), 1.0, rate)
+
+
+# its three crossings are split by rounding: the left candidate's upper end
+# and the right one's lower end were a few ulps apart around the dead centre
+SPLIT_TIE = ElectionModel(
+    (-4.0, -2.0, 0.0), (0.43936855457577834, 0.2310147759452538, 0.3296166694789679),
+    1.0, 0.49957622475111785,
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(wide_races(), lattice_races(), tie_races()))
+@example(SPLIT_TIE)
+def test_live_lead_intervals_tile_the_line(model):
+    lower, upper = model.lead_intervals
+    live = lower < upper
+    ends = np.stack((lower[live], upper[live]), axis=-1).ravel().tolist()
+    assert ends[0] == -math.inf and ends[-1] == math.inf
+    assert ends[1:-1:2] == ends[2:-1:2]  # each lower end is the upper end before it
+
+
+def every_end_masses(ends, x, p, v):
+    """Test-local ``_lead_masses``: both ends of every interval get their own
+    tail value under every law, 2 N^2 per race."""
+    v = np.asarray(v)[..., None, None]
+    z = (ends[..., :, None] - x[..., None, :] * v) / np.sqrt(v)
+    t = 0.5 * np.vectorize(math.erfc, otypes=[float])(np.abs(z) / math.sqrt(2.0))
+    mass = np.where(z[1] <= 0.0, t[1] - t[0], np.where(z[0] >= 0.0, t[0], 1.0 - t[0]) - t[1])
+    return (p[..., None, :] * mass).sum(axis=-1)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(wide_races(), lattice_races(), tie_races()),
+       st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=4), st.floats(0.0, 0.95))
+@example(SPLIT_TIE, [0.0], 0.5)
+def test_shared_end_masses_match_every_end_masses(model, ys, fraction):
+    # the race itself, then conditioned as winprob_paths conditions it: the
+    # lead intervals shifted by -y, the time-t supports as weights and
+    # V(t, T) as variance
+    x, ends = model.positions_arr, np.array(model.lead_intervals)
+    race = (ends, x, model.priors_arr, model.terminal_variance)
+    np.testing.assert_array_equal(_lead_masses(*race), every_end_masses(*race))
+    t, y = fraction * model.horizon, np.array(ys)
+    v = np.full(len(ys), model.schedule.variance(t, model.horizon))
+    paths = (ends[:, None, :] - y[:, None], x, posterior_support(model, y, t), v)
+    np.testing.assert_array_equal(_lead_masses(*paths), every_end_masses(*paths))
+
+
+@st.composite
 def small_race_inputs(draw):
     """Raw inputs of a 2- or 3-candidate race drawn as ``races`` draws them:
     (positions, priors, horizon). Every model a test compares is built from
@@ -382,3 +441,31 @@ def test_implied_zero_for_the_centre_ends_on_the_dead_zone_bound(inputs):
     assume(bound * bound * model.horizon >= 0.125 and bound < SCAN_SIGMA_MAX)
     solutions = implied_sigma(model, 1, 0.0)
     assert any(s == pytest.approx(bound, rel=1e-12, abs=0.0) for s in solutions)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=6), st.floats(-1.0, 1.0))
+def test_with_schedule_keeps_the_priors_bit_for_bit(weights, log_rate):
+    # the priors are normalised once, on construction; their fsum is 1 only
+    # to rounding, so normalising them again could move them by an ulp
+    raw = tuple((np.array(weights) / sum(weights)).tolist())
+    model = ElectionModel(tuple(map(float, range(len(raw)))), raw, 1.0, 1.0)
+    assert model.with_schedule(10.0**log_rate).priors == model.priors
+
+
+@PROPERTY_SETTINGS
+@given(centre_lockout_inputs())
+@example((  # with priors an ulp off, the centre was dead at the bound
+    (-1.1841995476961231, 0.0894430894292666, 1.1243707363194524),
+    (0.8249222233301595, 0.03688554694063073, 0.1381922297292099),
+    1.6836820329057063,
+))
+def test_with_schedule_agrees_with_the_raw_race_at_the_dead_zone_edge(inputs):
+    # at the rates where the centre's lead interval closes, the bound and
+    # its neighbouring floats, an ulp in the priors decides whether it is dead
+    positions, priors, horizon = inputs
+    model = ElectionModel(positions, priors, horizon, 1.0)
+    bound = dead_zone_sigma_bound(model)
+    for s in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf)):
+        raw = ElectionModel(positions, priors, horizon, s)
+        assert is_dead_zone(model.with_schedule(s), 1).is_dead == is_dead_zone(raw, 1).is_dead

@@ -202,6 +202,23 @@ class TestWinprobPaths:
         )
 
 
+    def test_tail_values_once_per_shared_end(self, monkeypatch):
+        # the m live lead intervals tile the line, so each path-step needs a
+        # tail value at each of their m - 1 finite ends under each of the J
+        # laws with a positive weight: here m = 2 (the centre is dead) and
+        # J = 3 (one zero prior), 3 per path-step, not 2 N^2 = 32
+        model = ElectionModel((0.0, 1.0, 2.0, 3.0), (0.45, 0.05, 0.0, 0.5), 1.0, 0.5)
+        lower, upper = model.lead_intervals
+        m, j = np.count_nonzero(lower < upper), np.count_nonzero(model.priors_arr)
+        ensemble = simulate_paths(model, 4, 50, seed=5)
+        ends = []
+        erfc = math.erfc
+        monkeypatch.setattr(math, "erfc", lambda z: ends.append(z) or erfc(z))
+        winprob_paths(ensemble)
+        assert (m, j) == (2, 3)
+        assert 0 < len(ends) <= (m - 1) * j * 4 * 50
+
+
 def mp_variance(schedule, t0, t1):
     """Test-local V(t0, t1) of a schedule, in mpmath."""
     edges = [0, *schedule.breakpoints, mpmath.inf]
