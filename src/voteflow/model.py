@@ -353,22 +353,19 @@ def _pair_mask(n: int) -> np.ndarray:
 def _lead_intervals(table: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Lead intervals (L_k, U_k) of races with crossing tables [..., N, N]
     (``_crossings``) and priors p [..., N], as ends [2, ..., N]. k can lead
-    when its prior is positive and its largest crossing with a rival to its
-    left (-inf if none) is below its smallest with one to its right (+inf if
-    none); a pair of zero priors (NaN) never binds. The one home of the dead
-    rule: a k that cannot lead never wins, and gets (0, 0). The live
-    intervals tile the line: live neighbours a < b meet at table[a, b],
-    which lies between a's smallest and b's largest crossing and equals both
-    wherever rounding does not split three crossings. k ranks first exactly
-    on (L_k, U_k)."""
+    when its prior is positive and L_k, its largest crossing with a rival to
+    its left (-inf if none), is below its smallest with one to its right
+    (+inf if none); a pair of zero priors (NaN) never binds. The one home of
+    the dead rule: a k that cannot lead never wins, and gets (0, 0). The
+    live intervals tile the line: U_k is the L of the next live candidate
+    (+inf if none), which equals k's smallest crossing wherever rounding
+    does not split three crossings. k ranks first exactly on (L_k, U_k)."""
     lower = np.fmax.reduce(table, axis=-2, initial=-np.inf)  # column k: rivals left of k
     upper = np.fmin.reduce(table, axis=-1, initial=np.inf)  # row k: rivals right of k
     live = (p > 0.0) & (lower < upper)
-    # the live candidates' ranks 1, 2, ..., m; a dead one's matches none
-    rank = np.where(live, np.add.accumulate(live, axis=-1, dtype=float), -live.shape[-1])
-    shared = np.where(rank[..., None, :] == rank[..., :, None] + 1.0, table, np.nan)
-    lower = np.fmax.reduce(shared, axis=-2, initial=-np.inf)
-    upper = np.fmin.reduce(shared, axis=-1, initial=np.inf)
+    # live lower ends increase with k, so a running min from the right finds the next
+    upper = np.full_like(lower, np.inf)
+    np.minimum.accumulate(np.where(live, lower, np.inf)[..., :0:-1], axis=-1, out=upper[..., -2::-1])
     return np.where(live, (lower, upper), 0.0)
 
 

@@ -328,8 +328,8 @@ def tie_races(draw):
     return ElectionModel(tuple(x.tolist()), tuple((w / w.sum()).tolist()), 1.0, rate)
 
 
-# its three crossings are split by rounding: the left candidate's upper end
-# and the right one's lower end were a few ulps apart around the dead centre
+# its three crossings are split by rounding: around the dead centre, the
+# left candidate's upper end and the right one's lower end were an ulp apart
 SPLIT_TIE = ElectionModel(
     (-4.0, -2.0, 0.0), (0.43936855457577834, 0.2310147759452538, 0.3296166694789679),
     1.0, 0.49957622475111785,

@@ -201,7 +201,6 @@ class TestWinprobPaths:
             bundle.win_probs[i, m], win_probabilities(conditioned).win_probs, atol=1e-14
         )
 
-
     def test_tail_values_once_per_shared_end(self, monkeypatch):
         # the m live lead intervals tile the line, so each path-step needs a
         # tail value at each of their m - 1 finite ends under each of the J
