@@ -113,9 +113,8 @@ class MonteCarloOutcome:
 #: Path-steps per ``_lead_masses`` call in ``winprob_paths``. It holds a
 #: few N x N arrays per path-step and hands ``math.erfc`` one list of at most
 #: (m - 1) N ends per path-step for m live candidates; a fixed block caps
-#: them (5.3 MB at N = 6, against 9.0 MB when every interval end had its own
-#: tail values) however long the paths, yet makes numpy's per-call overhead
-#: negligible.
+#: them (5.3 MB at N = 6) however long the paths, yet makes numpy's per-call
+#: overhead negligible.
 PATH_STEP_BLOCK = 2048
 
 
