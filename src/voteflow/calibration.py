@@ -115,10 +115,19 @@ def estimate_sigma_historic(series: PollSeries) -> SigmaEstimate:
     carries no loading) yields sigma = 0 with a DegenerateSeriesWarning. The
     standard error comes from the chi-squared spread of squared Gaussian
     increments via the delta method: Var(sigma_hat^2) ~ 2 sigma^4 / M_eff.
+
+    The estimate is scale-free: the positions are divided by 2^e, the power
+    of two of the largest |position|, and the steps by 4^f, an even power of
+    two near the largest step, before anything is squared, and sigma is
+    multiplied back by 2^-(e + f). Powers of two scale exactly, so wherever
+    the unscaled sums are finite and normal the result is the same bits.
     """
     pi = series.supports
-    x = series.positions
+    e = math.frexp(float(np.abs(series.positions).max()))[1]
+    x = np.ldexp(series.positions, -e)
     dt = np.diff(series.times)
+    f = math.frexp(float(dt.max()))[1] // 2
+    dt = np.ldexp(dt, -2 * f)
     d_pi = np.diff(pi, axis=0)
     numerator = float(np.sum(d_pi * d_pi))
 
@@ -137,8 +146,7 @@ def estimate_sigma_historic(series: PollSeries) -> SigmaEstimate:
         )
         return SigmaEstimate(sigma=0.0, standard_error=0.0, effective_increments=0.0)
 
-    sigma_sq = numerator / denominator
-    sigma = math.sqrt(sigma_sq)
+    sigma = math.ldexp(math.sqrt(numerator / denominator), -(e + f))
     m_eff = denominator**2 / float(np.sum(weights * weights))
     # Var(sigma^2) ~ 2 sigma^4 / m_eff; SE(sigma) = SE(sigma^2) / (2 sigma)
     standard_error = sigma * math.sqrt(0.5 / m_eff)

@@ -7,7 +7,8 @@ digit floats, and LF line endings. Exit codes: 0 success, 2 config or
 validation error, 3 I/O or input-data error, 4 numerical failure.
 
 Each subcommand returns one ``Report``; ``main`` hands it to ``_emit``,
-which writes it in the chosen format, and maps exceptions to exit codes.
+which checks that its numbers are finite and writes it in the chosen
+format, and maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import warnings
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .model import ElectionModel, InfoSchedule
 from .outcomes import win_probabilities
 from .simulation import simulate_paths, winprob_paths
 from .strategy import (
-    SweepTable,
     _max_support_points,
     _simplex_cells,
     is_dead_zone,
@@ -298,13 +298,13 @@ def load_config(path: str) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class Report:
-    """One subcommand's output: ``json`` builds the JSON object (numpy arrays
-    allowed); ``meta``, ``header``, ``kinds`` (one ``CSV_FORMATS`` key per
-    column) and ``rows`` are the CSV form. ``_emit`` calls ``json`` only for
-    JSON output and iterates ``rows`` (lazy where it is large) only for CSV
-    output."""
+    """One subcommand's output: ``json`` is the JSON value (numpy arrays
+    allowed), and it holds every computed number the CSV form shows; ``meta``,
+    ``header``, ``kinds`` (one ``CSV_FORMATS`` key per column) and ``rows``
+    are the CSV form. ``_emit`` checks ``json`` in either format and
+    iterates ``rows`` (lazy where it is large) only for CSV output."""
 
-    json: Callable[[], object]
+    json: object
     meta: dict
     header: Sequence[str]
     kinds: Sequence[type]
@@ -332,11 +332,30 @@ def _listed(items, pad: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + pad + "]"
 
 
+def _non_finite(value) -> Optional[tuple[str, float]]:
+    """The place (as ``.support[0][0, 0]``) and value of the first non-finite
+    number in a report's JSON value, or None: a float array is checked with
+    one ``np.isfinite``, a float with ``math.isfinite``, dicts and lists by item."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else ("", value)
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        bad = np.argwhere(~np.isfinite(value))
+        return (str(bad[0].tolist()), float(value[tuple(bad[0])])) if len(bad) else None
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return None
+    for key, item in value.items() if is_dict else enumerate(value):
+        bad = _non_finite(item)
+        if bad is not None:
+            return (f".{key}" if is_dict else f"[{key}]") + bad[0], bad[1]
+    return None
+
+
 def _json_pieces(report: dict) -> Iterator[str]:
     """``json.dumps(report, indent=2, allow_nan=False, default=np.ndarray.tolist)``
     in pieces. Each numeric array, alone or in a list of them, is one piece
-    of its ``tolist()`` joined with ``repr``, checked finite once; any other
-    value, or a report with no such array, is ``json``'s own text."""
+    of its ``tolist()`` joined with ``repr`` (``_emit`` has checked it finite);
+    any other value, or a report with no such array, is ``json``'s own text."""
     arrays = {k: v if isinstance(v, list) else [v] for k, v in report.items()}
     arrays = {k: a for k, a in arrays.items() if a and all(
         isinstance(x, np.ndarray) and x.dtype.kind in "fiu" for x in a)}
@@ -348,8 +367,6 @@ def _json_pieces(report: dict) -> Iterator[str]:
         inside = arrays[key] is value  # a list of arrays
         pad = "\n    " if inside else "\n  "
         for j, a in enumerate(arrays[key]):
-            if not np.isfinite(a).all():
-                raise ValueError(f"Out of range float values are not JSON compliant: {a[~np.isfinite(a)][0]}")
             yield ("," if j else "[") + pad + _listed(a.tolist(), pad) if inside else _listed(a.tolist(), pad)
         yield "\n  ]" if inside else ""
     yield "\n}" if arrays else json.dumps(report, indent=2, allow_nan=False, default=np.ndarray.tolist)
@@ -357,9 +374,13 @@ def _json_pieces(report: dict) -> Iterator[str]:
 
 def _emit(report: Report, args, stdout: TextIO) -> None:
     """Write the report in ``args.format`` to ``args.out``, or to stdout,
-    as it is generated: no more than one JSON array's text is held. If
-    writing fails part-way, the ``--out`` file is removed before the error
-    goes on; a value JSON cannot hold (NaN, inf) is a ``NumericalError``."""
+    as it is generated: no more than one JSON array's text is held. First,
+    in either format, a non-finite number in the JSON value is a
+    ``NumericalError`` naming its place. If writing fails part-way, the
+    ``--out`` file is removed before the error goes on."""
+    bad = _non_finite(report.json)
+    if bad is not None:
+        raise NumericalError(f"{args.command} report: {bad[0].removeprefix('.')} is {bad[1]}")
     to_file = args.out is not None
     sink = open(args.out, "w", encoding="utf-8", newline="\n") if to_file else nullcontext(stdout)
     try:
@@ -370,10 +391,7 @@ def _emit(report: Report, args, stdout: TextIO) -> None:
                 template = ",".join(CSV_FORMATS[kind] for kind in report.kinds) + "\n"
                 fh.writelines(template % row for row in report.rows)
             else:
-                try:
-                    fh.writelines(_json_pieces(report.json()))
-                except ValueError as exc:
-                    raise NumericalError(f"{args.command} report: {exc}") from exc
+                fh.writelines(_json_pieces(report.json))
                 fh.write("\n")
     except BaseException:
         if to_file:
@@ -390,11 +408,9 @@ def _named(columns: Sequence[str], names: Sequence[str]) -> list[str]:
     return [re.sub(r"(?<=_)\d+", lambda m: names[int(m.group())], c, count=1) for c in columns]
 
 
-def _table_rows(table: SweepTable):
-    """One row of floats per axis point: the point (a prior vector spreads
-    over several cells), then the table's values."""
-    for point, values in zip(table.axis_values, table.values.tolist()):
-        yield (*(point if isinstance(point, tuple) else (point,)), *values)
+def _array_rows(array: np.ndarray) -> Iterator[tuple]:
+    """A 2-D array's rows as tuples of Python numbers, listed when CSV output asks."""
+    yield from map(tuple, array.tolist())
 
 
 def _schedule_json(schedule: InfoSchedule):
@@ -430,22 +446,20 @@ def cmd_forecast(args, cfg: ScenarioConfig) -> Report:
     ordering_sum = math.fsum(outcome.ordering_probs.values())
     dead_zones = {name: is_dead_zone(model, i).is_dead for i, name in enumerate(cfg.names)}
     _log.info("ordering probabilities sum to %.17g", ordering_sum)
-
-    def json_report():
-        constant = model.schedule.is_constant
-        rate = model.schedule.rates[0] if constant else None
-        cells = []
-        for cell in partition.cells:
-            entry = {
-                "lower_y": _finite_or_none(cell.lower),
-                "upper_y": _finite_or_none(cell.upper),
-                "ordering": _ordering_label(cell.ordering, cfg.names),
-            }
-            if constant:
-                entry["lower_xi"] = _finite_or_none(cell.lower / rate)
-                entry["upper_xi"] = _finite_or_none(cell.upper / rate)
-            cells.append(entry)
-        return {
+    constant = model.schedule.is_constant
+    rate = model.schedule.rates[0] if constant else None
+    cells = [
+        {
+            "lower_y": _finite_or_none(cell.lower),
+            "upper_y": _finite_or_none(cell.upper),
+            "ordering": _ordering_label(cell.ordering, cfg.names),
+            **({"lower_xi": _finite_or_none(cell.lower / rate),
+                "upper_xi": _finite_or_none(cell.upper / rate)} if constant else {}),
+        }
+        for cell in partition.cells
+    ]
+    return Report(
+        json={
             "spectrum_convention": SPECTRUM_NOTE,
             "candidates": [
                 {"name": n, "position": x, "prior": p}
@@ -462,10 +476,7 @@ def cmd_forecast(args, cfg: ScenarioConfig) -> Report:
                 "cells": cells,
             },
             "dead_zones": dead_zones,
-        }
-
-    return Report(
-        json=json_report,
+        },
         meta={
             "horizon_years": _fmt(model.horizon),
             "sigma": _schedule_meta(model.schedule),
@@ -512,17 +523,13 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
     meta["horizon_years"] = _fmt(cfg.horizon_years)
     meta["sigma"] = _schedule_meta(cfg.schedule)
     header = axis_columns + _named(table.columns, cfg.names)
+    rows = np.column_stack((table.axis_values, table.values))  # a prior point spans columns
     return Report(
-        json=lambda: {
-            "axis": table.axis_name,
-            "columns": header,
-            "rows": [list(row) for row in _table_rows(table)],
-            "metadata": meta,
-        },
+        json={"axis": table.axis_name, "columns": header, "rows": rows, "metadata": meta},
         meta=meta,
         header=header,
         kinds=[float] * len(header),
-        rows=_table_rows(table),
+        rows=_array_rows(rows),
     )
 
 
@@ -537,11 +544,6 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
     n_steps = cfg.simulation["n_steps"]
     ensemble = simulate_paths(model, n_paths, n_steps, seed)
     bundle = winprob_paths(ensemble)
-    for quantity, values in (("support", bundle.support), ("win_probs", bundle.win_probs)):
-        bad = np.argwhere(~np.isfinite(values))
-        if len(bad):  # checked before _emit opens --out: CSV would write NaN cells
-            path, step = bad[0, :2].tolist()
-            raise NumericalError(f"simulate: {quantity} of path {path} at step {step} is not finite")
 
     def rows():
         times = bundle.times.tolist()
@@ -556,7 +558,7 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
         "sigma": _schedule_meta(model.schedule),
     }
     return Report(
-        json=lambda: {
+        json={
             "metadata": meta,
             "times": bundle.times,
             "latent": ensemble.latent,
@@ -573,11 +575,8 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
 def cmd_deadzone(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model()
     reports = {name: is_dead_zone(model, i) for i, name in enumerate(cfg.names)}
-    for name, rep in reports.items():  # checked before _emit opens --out: CSV would write inf
-        if rep.sigma_bound is not None and not math.isfinite(rep.sigma_bound):
-            raise NumericalError(f"deadzone: sigma_bound of {name} is {rep.sigma_bound}")
     return Report(
-        json=lambda: {
+        json={
             "spectrum_convention": SPECTRUM_NOTE,
             "sigma": _schedule_json(model.schedule),
             "horizon_years": model.horizon,
@@ -605,7 +604,7 @@ def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
         for r in _max_support_points(model, range(1, len(cfg.names) - 1))
     }
     return Report(
-        json=lambda: {
+        json={
             "sigma_grid": table.axis_values,
             "max_support": dict(zip(cfg.names, table.values.T)),
             "at_config_sigma": points,
@@ -614,7 +613,7 @@ def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
         meta={"horizon_years": _fmt(cfg.horizon_years)},
         header=["sigma", *_named(table.columns, cfg.names)],
         kinds=[float] * (1 + len(table.columns)),
-        rows=_table_rows(table),
+        rows=_array_rows(np.column_stack((table.axis_values, table.values))),
     )
 
 
@@ -626,7 +625,7 @@ def cmd_aggregate(args, cfg: ScenarioConfig) -> Report:
     channel = aggregate_n(sources)
     w = channel.noise_weights
     return Report(
-        json=lambda: {
+        json={
             "effective_sigma": channel.sigma,
             "noise_weights": w,
             "noise_variance_check": float(w @ sources.correlation @ w),
@@ -709,7 +708,7 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
             "solutions": [float(s) for s in solutions],
         }
         rows += [("implied", s) for s in solutions]
-    return Report(json=lambda: obj, meta={}, header=["method", "sigma"], kinds=[str, float],
+    return Report(json=obj, meta={}, header=["method", "sigma"], kinds=[str, float],
                   rows=rows)
 
 

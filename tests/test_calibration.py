@@ -1,5 +1,8 @@
 """Historic rate estimation and implied-rate inversion."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +101,25 @@ class TestHistoricEstimate:
         with pytest.warns(DegenerateSeriesWarning):
             est = estimate_sigma_historic(series)
         assert est.sigma == 0.0
+
+    @pytest.mark.parametrize(
+        "scale", [1e-300, 1e-200, 1e-170, 1e-150, 1e-3, 3.7, 1e150, 1e160, 1e170, 1e200, 1e300]
+    )
+    @pytest.mark.parametrize("field", ["positions", "times"])
+    def test_estimate_is_free_of_position_and_time_scale(self, field, scale):
+        # sigma scales as 1 / (position scale) and 1 / sqrt(time scale), and
+        # the count of increments not at all; no sum may under- or overflow
+        series = simulated_series(0.5, seed=82, n_steps=200)
+        base = estimate_sigma_historic(series)
+        data = {"times": series.times, "supports": series.supports, "positions": series.positions}
+        data[field] = data[field] * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_sigma_historic(PollSeries(**data))
+        factor = scale if field == "positions" else math.sqrt(scale)
+        assert est.sigma * factor == pytest.approx(base.sigma, rel=1e-12)
+        assert est.standard_error * factor == pytest.approx(base.standard_error, rel=1e-12)
+        assert est.effective_increments == pytest.approx(base.effective_increments, rel=1e-12)
 
     def test_recovers_unit_rate(self):
         est = estimate_sigma_historic(simulated_series(1.0, seed=80))

@@ -309,7 +309,7 @@ class TestSimulate:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_paths_exit_4_before_writing(self, tmp_path, capsys, fmt):
         # positions near 1e200 overflow the log weights, so every support is
-        # NaN; CSV would write the NaN cells, so both formats check first
+        # NaN; the report's one check names the first, in either format
         payload = self.base_payload()
         payload["candidates"] = [
             dict(cand, position=x) for cand, x in zip(payload["candidates"], (1e200, 2e200, 3e200))
@@ -322,7 +322,7 @@ class TestSimulate:
         assert not out.exists()
         stdout, err = capsys.readouterr()
         assert stdout == ""
-        assert err == "error: simulate: support of path 0 at step 0 is not finite\n"
+        assert err == "error: simulate report: support[0][0, 0] is nan\n"
 
 
 class TestDeadzoneAndMaxSupport:
@@ -423,7 +423,8 @@ class TestDeadzoneAndMaxSupport:
         assert main(argv) == 4
         assert main([*argv, "--out", str(out)]) == 4
         assert not out.exists()
-        assert capsys.readouterr() == ("", "error: deadzone: sigma_bound of centre is inf\n" * 2)
+        want = "error: deadzone report: dead_zones.centre.sigma_bound is inf\n"
+        assert capsys.readouterr() == ("", want * 2)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_subnormal_centre_prior_gives_a_finite_bound(self, tmp_path, capsys, fmt):
@@ -481,6 +482,28 @@ class TestCalibrate:
         assert main(["calibrate", "--config", cfg, "--data", data]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert 0.95 <= obj["historic"]["sigma"] <= 1.05
+
+    def test_far_positions_give_one_estimate_in_both_formats(self, tmp_path, capsys):
+        # at positions x 1e160 the squared loadings overflowed: CSV wrote
+        # sigma 0 and JSON exited 4 on a NaN count of increments
+        data = self.write_series_csv(tmp_path, n_steps=200)
+        assert main(["calibrate", "--config", write_config(tmp_path, POLARISED_CONFIG),
+                     "--data", data]) == 0
+        unscaled = json.loads(capsys.readouterr().out)["historic"]["sigma"]
+        payload = polarised_payload()
+        for cand in payload["candidates"]:
+            cand["position"] *= 1e160
+        argv = ["calibrate", "--config", write_config(tmp_path, payload), "--data", data]
+        outputs = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fmt in ("json", "csv"):
+                assert main([*argv, "--format", fmt]) == 0
+                outputs[fmt] = capsys.readouterr()
+        sigma = json.loads(outputs["json"].out)["historic"]["sigma"]
+        assert outputs["csv"].out.splitlines()[-1] == f"historic,{sigma:.17g}"
+        assert outputs["json"].err == outputs["csv"].err == ""
+        assert sigma * 1e160 == pytest.approx(unscaled, rel=1e-12)
 
     def test_implied_from_target_block(self, tmp_path, capsys):
         payload = {
@@ -735,7 +758,7 @@ def test_emit_streams_a_large_report(tmp_path, fmt):
     # as Python lists)
     data = np.linspace(0.0, 1.0, 200_000).reshape(50, 1000, 4)
     report = Report(
-        json=lambda: {"rows": list(data)},
+        json={"rows": list(data)},
         meta={"rows": 50_000},
         header=["a", "b", "c", "d"],
         kinds=[float] * 4,
@@ -799,16 +822,17 @@ def test_csv_template_writes_the_bytes_of_per_value_formatting(argv):
     ids=["json-nan", "csv-numerical", "csv-unexpected"],
 )
 def test_failed_report_leaves_no_out_file(tmp_path, capsys, monkeypatch, fmt, error, code):
-    # each report fails after about 200 kB of it is written: the partial
-    # --out file goes, and the error keeps its exit code (a value JSON
-    # cannot hold is a numerical error naming the subcommand)
+    # a CSV report fails after about 200 kB of it is written: the partial
+    # --out file goes, and the error keeps its exit code; a non-finite
+    # number in the JSON value is a numerical error naming the subcommand,
+    # raised before --out is opened
     def rows():
         yield from ((float(i), 0.5) for i in range(20_000))
         raise error("row 20000 failed")
 
     def failing(args, cfg):
         return Report(
-            json=lambda: {"head": list(range(20_000)), "tail": math.nan},
+            json={"head": list(range(20_000)), "tail": math.nan if fmt == "json" else 0.5},
             meta={},
             header=["a", "b"],
             kinds=[float, float],
@@ -833,7 +857,7 @@ def test_failed_report_leaves_no_out_file(tmp_path, capsys, monkeypatch, fmt, er
     stdout, err = capsys.readouterr()
     assert stdout == "" and "wrote" not in err
     if fmt == "json":
-        assert "error: forecast report: Out of range float values" in err
+        assert err == "error: forecast report: tail is nan\n"
 
 
 EDGE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -866,42 +890,49 @@ JSON_REPORTS = st.dictionaries(
 def test_json_writer_writes_the_text_of_json_dumps(report):
     out = io.StringIO()
     args = argparse.Namespace(format="json", out=None, command="forecast")
-    _emit(Report(json=lambda: report, meta={}, header=[], kinds=[], rows=[]), args, out)
+    _emit(Report(json=report, meta={}, header=[], kinds=[], rows=[]), args, out)
     want = json.dumps(report, indent=2, allow_nan=False, default=np.ndarray.tolist)
     assert out.getvalue() == want + "\n"
 
 
 def place_non_finite(report, where, bad):
+    """Put ``bad`` in the report at ``where``; the place as an error names it."""
     if where == "array":
         report["times"][3] = bad
-    elif where == "deep array":
+        return "times[3]"
+    if where == "deep array":
         report["rows"][1, 2, 3] = bad
-    elif where == "listed array":
+        return "rows[1, 2, 3]"
+    if where == "listed array":
         report["paths"][1][0, 1] = bad
-    elif where == "nested":
+        return "paths[1][0, 1]"
+    if where == "nested":
         report["meta"]["b"][1] = bad
-    else:
-        report[where] = bad
+        return "meta.b[1]"
+    report[where] = bad
+    return where
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["array", "deep array", "listed array", "nested", "sum"])
 def test_non_finite_json_value_exits_4_and_leaves_no_out_file(
-    tmp_path, capsys, monkeypatch, where, bad
+    tmp_path, capsys, monkeypatch, where, bad, fmt
 ):
+    # the JSON value is checked in either format, before anything is
+    # written; the CSV rows would be writable
     rows = np.linspace(0.0, 1.0, 24).reshape(2, 3, 4)
     report = {"times": np.arange(5.0), "rows": rows.copy(), "paths": [rows[0].copy(), rows[1].copy()],
               "meta": {"a": 1.0, "b": [0.5, 2.0]}, "sum": 1.0}
-    place_non_finite(report, where, bad)
+    place = place_non_finite(report, where, bad)
     monkeypatch.setattr(voteflow.cli, "cmd_forecast", lambda args, cfg: Report(
-        json=lambda: report, meta={}, header=[], kinds=[], rows=[]))
-    out = tmp_path / "report.json"
-    argv = ["forecast", "--config", write_config(tmp_path, POLARISED_CONFIG), "--format", "json"]
+        json=report, meta={"a": 1}, header=["a"], kinds=[float], rows=[(0.5,)]))
+    out = tmp_path / f"report.{fmt}"
+    argv = ["forecast", "--config", write_config(tmp_path, POLARISED_CONFIG), "--format", fmt]
     assert main([*argv, "--out", str(out)]) == 4
     assert not out.exists()
     assert main(argv) == 4
-    stdout, err = capsys.readouterr()
-    assert err.count(f"error: forecast report: Out of range float values are not JSON compliant: {bad!r}") == 2
+    assert capsys.readouterr() == ("", f"error: forecast report: {place} is {bad!r}\n" * 2)
 
 
 def run_fresh_process(argv):

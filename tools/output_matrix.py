@@ -2,17 +2,18 @@
 
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 22
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 24
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
 axes, simulate with and without ``--seed 7``, calibrate, calibrate
 ``--data`` on a fixed 201-row poll CSV, on a constant 5-row one and on one
 whose second row sums to 1.1, calibrate on three target configs: the second
 candidate at win probability 0, the last at 0.45 and the first at its own
 prior, forecast and deadzone on a zero-first config: the first candidate's
-prior moved onto the second, forecast, deadzone and maxsupport on a near
-config: every position times 1e-160, and simulate on a far config: every
+prior moved onto the second, forecast, deadzone, maxsupport and calibrate
+``--data`` (the fixed poll CSV) on a near config: every position times
+1e-160, and simulate and calibrate ``--data`` on a far config: every
 position times 1e200) on each config in ``configs/``, in both formats, once
-to stdout and once to ``--out``: 528 runs. The poll CSVs and derived
+to stdout and once to ``--out``: 576 runs. The poll CSVs and derived
 configs are written to ``OUT_DIR/polls/``. Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
 ``stdout``, ``stderr`` (with SRC_DIR written as ``<src>``), ``exit_code``
@@ -91,6 +92,11 @@ INVOCATIONS = {
         for name in ("forecast", "deadzone", "maxsupport")
     },
     "simulate-far": ["simulate", "--config", "polls/{stem}-far.json"],
+    **{
+        f"calibrate-data-{label}": ["calibrate", "--data", "polls/{stem}.csv",
+                                    "--config", f"polls/{{stem}}-{label}.json"]
+        for label in SCALES
+    },
 }
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
