@@ -319,7 +319,7 @@ def _log_weight(model: ElectionModel, y, variance, candidates_first=False) -> np
     return (log_p - 0.5 * x * x * v) + y * x
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _crossings(x: np.ndarray, p: np.ndarray, v) -> np.ndarray:
     """Crossing thresholds of a batch of races with float positions x and
     priors p [..., N] and terminal accumulated variances v [..., 1] (a float
@@ -327,10 +327,10 @@ def _crossings(x: np.ndarray, p: np.ndarray, v) -> np.ndarray:
 
         (log p_b - log p_a) / (x_a - x_b) + (x_a / 2 + x_b / 2) V,
 
-    +-inf where one of the pair's priors is zero and NaN where both are;
-    every other entry is NaN. Positions are halved before they are added, so
-    the mean term stays finite up to the float maximum. This is the only
-    place a crossing is formed."""
+    +-inf where one of the pair's priors is zero or the exact crossing lies
+    past the float maximum (a subnormal gap), NaN where both priors are zero,
+    and NaN off the pairs a < b. Positions are halved before they are added,
+    so the mean term stays finite. This is the only place a crossing is formed."""
     x_a, x_b = x[..., :, None], x[..., None, :]
     half_x = 0.5 * x
     mean_x = half_x[..., :, None] + half_x[..., None, :]

@@ -9,7 +9,10 @@ evaluating support rates pathwise from the exact filter formula (never an
 SDE discretization of the filter itself). The outcome tally needs only the
 terminal signal, whose law given the label is exactly Gaussian, so it draws
 one normal per path and carries no discretization error at all; it is the
-independent check for every closed-form probability in this package.
+independent check for every closed-form probability in this package. It
+reads only the multiset of terminal signals, so it draws how many paths
+each label holds (one multinomial count vector) and the signals label by
+label, not a label per path: the same law for the multiset.
 
 Reproducibility: path i's random stream is a pure function of (seed, i), so
 ensembles are bit-identical across runs and independent of evaluation
@@ -131,10 +134,10 @@ def _path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _draw_latent(rng: np.random.Generator, cum_priors: np.ndarray, size=None):
-    u = rng.random(size)
-    # clip guards the u > cum_priors[-1] sliver left by rounding in the cumsum
-    return np.minimum(np.searchsorted(cum_priors, u, side="right"), len(cum_priors) - 1)
+def _draw_latent(rng: np.random.Generator, cum_priors: np.ndarray) -> int:
+    u = rng.random()
+    # min guards the u > cum_priors[-1] sliver left by rounding in the cumsum
+    return min(int(np.searchsorted(cum_priors, u, side="right")), len(cum_priors) - 1)
 
 
 def simulate_paths(
@@ -159,7 +162,7 @@ def simulate_paths(
     signals = np.zeros((n_paths, n_steps + 1))
     for i in range(n_paths):
         rng = _path_rng(seed, i)
-        label = int(_draw_latent(rng, cum_priors))
+        label = _draw_latent(rng, cum_priors)
         z = rng.standard_normal(n_steps)
         increments = drift_unit * positions[label] + noise_unit * z
         latent[i] = label
@@ -254,15 +257,17 @@ def monte_carlo_win_probabilities(
     Only the terminal accumulated signal matters for the outcome and its law
     given the label is Normal(x_j V, V), so each path is a single Gaussian
     draw: the estimate carries sampling error but no discretization error.
+    The paths per label are one multinomial draw from the priors, and the
+    paths of label j come in one block of Normal(x_j V, V) draws.
     """
     _check_counts(seed, n_paths=n_paths)
     rng = np.random.default_rng(seed)
-    cum_priors = np.cumsum(model.priors_arr)
-    latent = _draw_latent(rng, cum_priors, n_paths)
+    # the tally is a function of the multiset of draws, so it draws how many
+    # paths each label holds, not which path holds which, and orders the
+    # draws by y: draws with one ranking then sit in runs
+    held = rng.multinomial(n_paths, model.priors_arr)
     v = model.terminal_variance
-    y = model.positions_arr[latent] * v + math.sqrt(v) * rng.standard_normal(n_paths)
-    # the tally is a function of the multiset of draws, so order them by y:
-    # draws with one ranking then sit in runs
+    y = np.repeat(model.positions_arr * v, held) + math.sqrt(v) * rng.standard_normal(n_paths)
     y.sort()
 
     # a run starts wherever a draw's ranking differs from the draw before's;

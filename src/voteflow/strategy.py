@@ -194,7 +194,8 @@ def max_support_point(model: ElectionModel, k: int) -> MaxSupportReport:
     bisecting its sign change over every finite signal ends on two
     neighbouring floats, at any scale of the positions. Requires positive
     prior mass strictly on both sides of x_k; otherwise the support curve is
-    monotone and has no interior peak.
+    monotone and has no interior peak (``NoBracket``). A peak whose signal
+    lies beyond the float range raises ``NumericalError``.
     """
     return _max_support_points(model, [k])[0]
 
@@ -210,7 +211,13 @@ def _max_support_points(model: ElectionModel, ks) -> list[MaxSupportReport]:
     reports = []
     for k, y_star, pi_max, residual in zip(ks, *(a[0].tolist() for a in peaks)):
         if math.isnan(pi_max):
-            raise NoBracket(f"no supported candidate on one side of x_{k}={model.positions[k]}")
+            priors = model.priors_arr
+            if not (priors[:k].any() and priors[k + 1:].any()):
+                raise NoBracket(f"no supported candidate on one side of x_{k}={model.positions[k]}")
+            raise NumericalError(
+                f"peak support of candidate {k}: both sides of x_{k}={model.positions[k]} hold "
+                "supported candidates, but the peak's signal y* lies beyond the float range"
+            )
         reports.append(MaxSupportReport(k, y_star, pi_max, residual))
     return reports
 
@@ -222,8 +229,9 @@ def _support_peaks(model: ElectionModel, variances, ks):
     g is bisected over the floats themselves (``_bisect_floats``), from
     -+reach = -+float max / max(1, 2 max|x|), where every y x_j is finite;
     y_star is the final end with the smaller |g|. All three are NaN where
-    g(-reach) < 0 < g(reach) fails, which happens exactly when no candidate
-    on one side of x_k has a positive prior. A g that is not finite at
+    g(-reach) < 0 < g(reach) fails: where no candidate on one side of x_k
+    has a positive prior, or where the root lies beyond -+reach, as it does
+    for gaps near the smallest floats. A g that is not finite at
     either end (every log weight -inf: x_j^2 V / 2 overflows) raises
     NumericalError.
     """

@@ -426,6 +426,39 @@ class TestDeadzoneAndMaxSupport:
         want = "error: deadzone report: dead_zones.centre.sigma_bound is inf\n"
         assert capsys.readouterr() == ("", want * 2)
 
+    def test_subnormal_gaps_give_infinite_crossings_without_a_warning(self, tmp_path, capsys):
+        # the exact crossings lie past the float maximum, so +-inf is their
+        # correctly rounded value, not an overflow to report (RuntimeWarnings
+        # are errors in this suite)
+        payload = json.loads((CONFIG_DIR / "polarised_low_info.json").read_text(encoding="utf-8"))
+        for cand in payload["candidates"]:
+            cand["position"] *= 1e-310
+        cfg = write_config(tmp_path, payload)
+        assert main(["forecast", "--config", cfg]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["win_probabilities"]["left"] == 1.0
+        assert main(["deadzone", "--config", cfg]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: deadzone report: dead_zones.centre.sigma_bound is inf\n"
+
+    @pytest.mark.parametrize("priors, scale, want", [
+        ((0.6, 0.4, 0.0), 1.0, "error: no supported candidate on one side of x_1=2.0\n"),
+        # the peak's y* grows as 1 / scale and passes the float maximum
+        # between 1e-308 and 1e-310, while both rivals keep their priors
+        ((0.38, 0.26, 0.36), 1e-310, "error: peak support of candidate 1: both sides of "
+         "x_1=2e-310 hold supported candidates, but the peak's signal y* lies beyond "
+         "the float range\n"),
+    ], ids=["one-sided", "past-float-range"])
+    def test_maxsupport_without_a_peak_says_why(self, tmp_path, capsys, priors, scale, want):
+        payload = polarised_payload()
+        for cand, prior in zip(payload["candidates"], priors):
+            cand["position"] *= scale
+            cand["prior"] = prior
+        assert main(["maxsupport", "--config", write_config(tmp_path, payload)]) == 4
+        assert capsys.readouterr() == ("", want)
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_subnormal_centre_prior_gives_a_finite_bound(self, tmp_path, capsys, fmt):
         # p0/p1 = 0.5/5e-324 overflows; the bound comes from log differences

@@ -24,6 +24,7 @@ from voteflow import (
     is_dead_zone,
     max_support_curve,
     max_support_point,
+    monte_carlo_win_probabilities,
     ordering_partition,
     posterior_support,
     simulate_paths,
@@ -314,6 +315,24 @@ def test_partition_cells_follow_the_crossings(model):
                 left = cell.upper <= c or near(cell.upper, c)
                 assert left or cell.lower >= c or near(cell.lower, c)
                 assert (rank[a] < rank[b]) == left
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(wide_races(), lattice_races()), st.integers(0, 2**32 - 1))
+# a zero last prior: the multinomial gives the last label the draws left over
+@example(ElectionModel((-1.0, 0.5, 2.0), (0.3, 0.7, 0.0), 1.0, 1.0), 7)
+@example(ElectionModel((0.0, 1.0, 2.0, 3.0), (0.1, 0.0, 0.9, 0.0), 1.0, 3.0), 11)
+def test_tally_counts_every_draw_once_under_a_permutation(model, seed):
+    n_paths = 2_000
+    mc = monte_carlo_win_probabilities(model, n_paths, seed)
+    n = model.n_candidates
+    assert sum(mc.ordering_counts.values()) == n_paths
+    assert all(sorted(key) == list(range(n)) for key in mc.ordering_counts)
+    assert all(f == 0.0 for f, p in zip(mc.win_freqs.tolist(), model.priors) if p == 0.0)
+    again = monte_carlo_win_probabilities(model, n_paths, seed)
+    assert list(again.ordering_counts.items()) == list(mc.ordering_counts.items())
+    np.testing.assert_array_equal(again.win_freqs, mc.win_freqs)
+    assert again.tie_count == mc.tie_count
 
 
 @st.composite

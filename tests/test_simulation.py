@@ -294,11 +294,9 @@ def reference_tally(model, n_paths, seed):
     Returns the ordering counts (keys ascending), the leader frequencies and
     the number of draws on which two finite weights are equal."""
     rng = np.random.default_rng(seed)
-    cum_priors = np.cumsum(model.priors_arr)
-    labels = np.searchsorted(cum_priors, rng.random(n_paths), side="right")
-    labels = np.minimum(labels, model.n_candidates - 1)
+    held = rng.multinomial(n_paths, model.priors_arr)
     v = model.terminal_variance
-    y = model.positions_arr[labels] * v + math.sqrt(v) * rng.standard_normal(n_paths)
+    y = np.repeat(model.positions_arr * v, held) + math.sqrt(v) * rng.standard_normal(n_paths)
     weight = _log_weight(model, y, v)
     order = np.argsort(-weight, axis=1, kind="stable")
     counts = collections.Counter(map(tuple, order.tolist()))

@@ -17,9 +17,12 @@ For each end-to-end metric the output holds both medians, their ratio
 (change / parent), the parent's quartiles and their distance, and how many
 of the pairs the change won (strictly better in the metric's direction;
 ties count for neither side), beside every run's figures and failure
-counts. It also records the seeds, the two commits, ``nproc``, the CPU
-model, and the Python, numpy and scipy versions. Uses only the standard
-library besides git and tar.
+counts. After each workload's pairs it makes one ``--trace 1`` run per
+side at the first seed and records its per-layer metrics under
+``per_layer``, so the output shows which layer a difference sits in. It
+also records the seeds, the two commits, ``nproc``, the CPU model, and the
+Python, numpy and scipy versions. Uses only the standard library besides
+git and tar.
 """
 
 from __future__ import annotations
@@ -50,10 +53,11 @@ def unpack(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one benchmark run in ``checkout``."""
-    argv = [sys.executable, str(checkout / "perfbench" / "run.py"),
-            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """The result line of one benchmark run in ``checkout``: the end-to-end
+    metrics, or with ``trace`` the per-layer ones."""
+    argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr[-3000:]}")
@@ -160,9 +164,11 @@ def main(argv=None) -> int:
                     run[side] = run_once(roots[side], workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: {json.dumps(run[side])}", file=sys.stderr, flush=True)
                 runs.append(run)
+            per_layer = {side: run_once(roots[side], workload, seeds[0], seconds, trace=True) for side in commits}
             report["workloads"][workload] = {
                 "metrics": {m["name"]: summarise(runs, m) for m in benchmark["end_to_end"]},
                 "runs": runs,
+                "per_layer": per_layer,
             }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
