@@ -10,19 +10,26 @@ SDE discretization of the filter itself). The outcome tally needs only the
 terminal signal, whose law given the label is exactly Gaussian, so it draws
 one normal per path and carries no discretization error at all; it is the
 independent check for every closed-form probability in this package. It
-reads only the multiset of terminal signals, so it draws how many paths
-each label holds (one multinomial count vector) and the signals label by
-label, not a label per path: the same law for the multiset.
+takes its draws in blocks of ``TALLY_BLOCK``, and each block reads only the
+multiset of its terminal signals, so it draws how many paths each label
+holds (one multinomial count vector) and the signals label by label, not a
+label per path: the same law for the multiset.
 
 Reproducibility: path i's random stream is a pure function of (seed, i), so
 ensembles are bit-identical across runs and independent of evaluation
 order; simulating a prefix of the paths yields a prefix of the ensemble.
+Likewise tally block i draws from the stream of (seed, i). Blocks run on a
+thread pool of at most one worker per CPU and their tallies are added in
+block order, so a tally is bit-identical across runs and machines and
+never depends on the CPU count.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,10 +98,14 @@ class MonteCarloOutcome:
     alone, so the paths are sorted by it and counted in runs over which the
     ranking does not change (read from which weight of each pair is larger
     up to N = 32, from ranking each path beyond), with one ranked path per
-    run: the counts are those of ranking every path alone.
-    ``tie_count`` records paths on which two finite weights were exactly
-    equal (resolved toward the lower index); zero-prior candidates, all at
-    -inf, are ranked last by index and never count as a tie.
+    run: the counts are those of ranking every path alone. The paths come
+    in blocks of ``TALLY_BLOCK``, each from its own stream and sorted and
+    counted alone, and the blocks' counts are added in block order: the
+    outcome is a function of (model, n_paths, seed), whatever the number of
+    threads that tallied it. ``tie_count`` records paths on which two
+    finite weights were exactly equal (resolved toward the lower index);
+    zero-prior candidates, all at -inf, are ranked last by index and never
+    count as a tie.
     """
 
     n_paths: int
@@ -119,6 +130,12 @@ class MonteCarloOutcome:
 #: them (5.3 MB at N = 6) however long the paths, yet makes numpy's per-call
 #: overhead negligible.
 PATH_STEP_BLOCK = 2048
+
+#: Draws per block of ``monte_carlo_win_probabilities``. Each block draws
+#: from its own stream and is tallied alone, so blocks run in parallel and
+#: the tally's memory does not grow with the draw count (a few MB a block);
+#: 2^18 draws make the per-block overhead negligible.
+TALLY_BLOCK = 1 << 18
 
 
 def _check_counts(seed, **counts) -> None:
@@ -257,11 +274,60 @@ def monte_carlo_win_probabilities(
     Only the terminal accumulated signal matters for the outcome and its law
     given the label is Normal(x_j V, V), so each path is a single Gaussian
     draw: the estimate carries sampling error but no discretization error.
-    The paths per label are one multinomial draw from the priors, and the
-    paths of label j come in one block of Normal(x_j V, V) draws.
+    The paths come in blocks of ``TALLY_BLOCK`` (the last may be shorter);
+    block i draws from the stream of (seed, i), its paths per label as one
+    multinomial draw from the priors and the paths of label j as one run of
+    Normal(x_j V, V) draws, and is tallied alone. Blocks run on a pool of at
+    most one thread per CPU (a single block on the calling thread), and
+    their tallies are added in block order, so the outcome depends on
+    (model, n_paths, seed) alone, never on the CPU count.
     """
     _check_counts(seed, n_paths=n_paths)
-    rng = np.random.default_rng(seed)
+    n = model.n_candidates
+    sizes = [min(TALLY_BLOCK, n_paths - lo) for lo in range(0, n_paths, TALLY_BLOCK)]
+    # numpy's error state is per thread (a context variable): each block
+    # runs under the caller's
+    errors = np.geterr()
+
+    def tally(i):
+        with np.errstate(**errors):
+            return _tally_block(model, sizes[i], _path_rng(seed, i))
+
+    workers = min(len(sizes), os.cpu_count() or 1)
+    if workers == 1:
+        tallies = list(map(tally, range(len(sizes))))
+    else:
+        # imported here, since the import costs every process that loads
+        # the package about 4 ms, and only a tally of several blocks uses it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            tallies = list(pool.map(tally, range(len(sizes))))
+
+    counts = collections.Counter()
+    leaders = np.zeros(n)
+    tie_count = 0
+    for block_counts, block_leaders, block_ties in tallies:
+        counts.update(block_counts)
+        leaders += block_leaders
+        tie_count += block_ties
+    # integer-valued sums below 2^53: the frequencies are exact
+    win_freqs = leaders / n_paths
+    win_se = np.sqrt(win_freqs * (1.0 - win_freqs) / n_paths)
+    return MonteCarloOutcome(
+        n_paths=n_paths,
+        seed=int(seed),
+        ordering_counts=dict(sorted(counts.items())),
+        win_freqs=win_freqs,
+        win_std_errors=win_se,
+        tie_count=tie_count,
+    )
+
+
+def _tally_block(model: ElectionModel, n_paths: int, rng: np.random.Generator):
+    """One block's ordering counts, leader counts [N] and tied draws, from
+    n_paths draws of ``rng``. Reads the model's arrays and calls only
+    private kernels, so blocks may run on any thread."""
     # the tally is a function of the multiset of draws, so it draws how many
     # paths each label holds, not which path holds which, and orders the
     # draws by y: draws with one ranking then sit in runs
@@ -271,7 +337,7 @@ def monte_carlo_win_probabilities(
     y.sort()
 
     # a run starts wherever a draw's ranking differs from the draw before's;
-    # blocks of about 2^17 weights, each with the draw before it, keep every
+    # steps of about 2^17 weights, each with the draw before it, keep every
     # pass in cache. Pair comparisons cost O(N^2) a draw and ranking each
     # draw O(N log N), plus a per-draw overhead that dominates at small N:
     # the first is the faster up to about N = 32.
@@ -279,29 +345,18 @@ def monte_carlo_win_probabilities(
     compare = _compare_pairs if n <= 32 else _rank_each
     start = np.zeros(n_paths, dtype=bool)
     tied = np.zeros(n_paths, dtype=bool)
-    block = (1 << 17) // n
-    for lo in range(0, n_paths, block):
-        rows = slice(max(lo - 1, 0), lo + block)
+    step = (1 << 17) // n
+    for lo in range(0, n_paths, step):
+        rows = slice(max(lo - 1, 0), lo + step)
         start[rows][1:], tied[rows] = compare(model, y[rows], v)
     start[0] = True
-    tie_count = int(np.count_nonzero(tied))
 
-    # rank one draw per run; runs of one ordering add up, keys ascending
+    # rank one draw per run; runs of one ordering add up
     starts = np.flatnonzero(start)
     run_lengths = np.diff(np.r_[starts, n_paths])
     order = np.argsort(-_log_weight(model, y[starts], v), axis=1, kind="stable")
-    counts: dict[tuple[int, ...], int] = {}
+    counts = collections.Counter()
     for key, c in zip(map(tuple, order.tolist()), run_lengths.tolist()):
-        counts[key] = counts.get(key, 0) + c
-    counts = dict(sorted(counts.items()))
-
-    win_freqs = np.bincount(order[:, 0], weights=run_lengths, minlength=n) / n_paths
-    win_se = np.sqrt(win_freqs * (1.0 - win_freqs) / n_paths)
-    return MonteCarloOutcome(
-        n_paths=n_paths,
-        seed=int(seed),
-        ordering_counts=counts,
-        win_freqs=win_freqs,
-        win_std_errors=win_se,
-        tie_count=tie_count,
-    )
+        counts[key] += c
+    leaders = np.bincount(order[:, 0], weights=run_lengths, minlength=n)
+    return counts, leaders, int(np.count_nonzero(tied))

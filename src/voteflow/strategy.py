@@ -211,15 +211,25 @@ def _max_support_points(model: ElectionModel, ks) -> list[MaxSupportReport]:
     reports = []
     for k, y_star, pi_max, residual in zip(ks, *(a[0].tolist() for a in peaks)):
         if math.isnan(pi_max):
-            priors = model.priors_arr
-            if not (priors[:k].any() and priors[k + 1:].any()):
+            if _one_sided(model, k):
                 raise NoBracket(f"no supported candidate on one side of x_{k}={model.positions[k]}")
-            raise NumericalError(
-                f"peak support of candidate {k}: both sides of x_{k}={model.positions[k]} hold "
-                "supported candidates, but the peak's signal y* lies beyond the float range"
-            )
+            raise _peak_out_of_range(model, k)
         reports.append(MaxSupportReport(k, y_star, pi_max, residual))
     return reports
+
+
+def _one_sided(model: ElectionModel, k: int) -> bool:
+    """Whether no candidate on one side of x_k has a positive prior: then
+    k's support is monotone in the signal and has no interior peak."""
+    priors = model.priors_arr
+    return not (priors[:k].any() and priors[k + 1:].any())
+
+
+def _peak_out_of_range(model: ElectionModel, k: int) -> NumericalError:
+    return NumericalError(
+        f"peak support of candidate {k}: both sides of x_{k}={model.positions[k]} hold "
+        "supported candidates, but the peak's signal y* lies beyond the float range"
+    )
 
 
 def _support_peaks(model: ElectionModel, variances, ks):
@@ -273,12 +283,17 @@ def max_support_curve(
 
     Spectrum-end candidates have no interior peak: their support is monotone
     in the signal and approaches 1 (0 for a zero prior), reported as such;
-    so is an interior candidate with no peak. The model's schedule, the
-    axis varied here, is not read.
+    so is an interior candidate with no supported rival on one side. An
+    interior peak whose signal lies beyond the float range at some rate
+    raises ``NumericalError``, as in ``max_support_point``. The model's
+    schedule, the axis varied here, is not read.
     """
     grid = tuple(sigma_grid) if sigma_grid is not None else default_sigma_grid()
     n = model.n_candidates
     _, peak, _ = _support_peaks(model, _rate_variances(grid, model.horizon), np.arange(1, n - 1))
+    for k in np.flatnonzero(np.isnan(peak).any(axis=0)) + 1:
+        if not _one_sided(model, k):
+            raise _peak_out_of_range(model, k)
     values = np.tile(model.priors_arr > 0.0, (len(grid), 1)).astype(np.float64)
     values[:, 1:-1] = np.where(np.isnan(peak), values[:, 1:-1], peak)
     return SweepTable(

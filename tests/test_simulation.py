@@ -2,6 +2,7 @@
 
 import collections
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -289,15 +290,20 @@ def test_candidate_dead_in_the_model_never_wins_on_a_path():
 
 
 def reference_tally(model, n_paths, seed):
-    """Test-local exact tally: the package's seeded draws replayed, each draw
-    ranked on its own by a stable argsort of its negated log weights.
-    Returns the ordering counts (keys ascending), the leader frequencies and
-    the number of draws on which two finite weights are equal."""
-    rng = np.random.default_rng(seed)
-    held = rng.multinomial(n_paths, model.priors_arr)
+    """Test-local exact tally: the package's seeded draws replayed, block by
+    block from each block's own stream, each draw ranked on its own by a
+    stable argsort of its negated log weights. Returns the ordering counts
+    (keys ascending), the leader frequencies and the number of draws on
+    which two finite weights are equal."""
+    block = simulation_module.TALLY_BLOCK
     v = model.terminal_variance
-    y = np.repeat(model.positions_arr * v, held) + math.sqrt(v) * rng.standard_normal(n_paths)
-    weight = _log_weight(model, y, v)
+    ys = []
+    for i, lo in enumerate(range(0, n_paths, block)):
+        size = min(block, n_paths - lo)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        held = rng.multinomial(size, model.priors_arr)
+        ys.append(np.repeat(model.positions_arr * v, held) + math.sqrt(v) * rng.standard_normal(size))
+    weight = _log_weight(model, np.concatenate(ys), v)
     order = np.argsort(-weight, axis=1, kind="stable")
     counts = collections.Counter(map(tuple, order.tolist()))
     ascending = np.sort(weight, axis=1)
@@ -358,6 +364,55 @@ class TestMonteCarloTally:
         np.testing.assert_array_equal(mc.win_freqs, win_freqs)
         assert mc.tie_count == tie_count
         assert tie_count > 0 or not ties
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, simulation_module.TALLY_BLOCK + 3],
+                             ids=["block-1", "block", "block+1", "2-blocks+3"])
+    def test_blocks_match_the_reference_whatever_the_worker_count(
+        self, polarised_model, monkeypatch, extra
+    ):
+        # one block short of, at, and past the block size, and three blocks;
+        # the blocks' tallies are added in block order, so neither a pool
+        # of one worker nor one of more workers than CPUs moves a count
+        n = simulation_module.TALLY_BLOCK + extra
+        counts, win_freqs, tie_count = reference_tally(polarised_model, n, seed=901)
+        for cpus in (None, 1, 8):
+            if cpus is not None:
+                monkeypatch.setattr(simulation_module.os, "cpu_count", lambda cpus=cpus: cpus)
+            mc = monte_carlo_win_probabilities(polarised_model, n, seed=901)
+            assert list(mc.ordering_counts.items()) == list(counts.items())
+            np.testing.assert_array_equal(mc.win_freqs, win_freqs)
+            assert mc.tie_count == tie_count
+
+    @pytest.mark.parametrize("model, ignored", [
+        # x^2 V / 2 overflows, as in reference_races
+        pytest.param(ElectionModel((-1e190, 1e160), (0.5, 0.5), 1.0, 1e-34),
+                     {"over": "ignore", "invalid": "ignore"}, id="nan-weights"),
+        pytest.param(ElectionModel((0.0, 1.0, 2.0, 3.0), (0.5, 0.0, 0.0, 0.5), 1.0, 1.0),
+                     {}, id="two-zero-priors"),
+    ])
+    def test_every_block_runs_under_the_callers_error_state(self, model, ignored):
+        # numpy's error state is per thread: a block on a worker thread that
+        # ran under numpy's defaults would warn where the caller ignores
+        n = 2 * simulation_module.TALLY_BLOCK + 5
+        with warnings.catch_warnings(), np.errstate(**ignored):
+            warnings.simplefilter("error")
+            mc = monte_carlo_win_probabilities(model, n, seed=902)
+            counts, win_freqs, tie_count = reference_tally(model, n, seed=902)
+        assert list(mc.ordering_counts.items()) == list(counts.items())
+        np.testing.assert_array_equal(mc.win_freqs, win_freqs)
+        assert mc.tie_count == tie_count
+
+    def test_memory_does_not_grow_with_the_draws(self, polarised_model):
+        # one pass over 2^23 draws would hold about 128 MB of numpy
+        # buffers; blocks of TALLY_BLOCK draws, one per worker, about 9 MB
+        tracemalloc.start()
+        try:
+            mc = monte_carlo_win_probabilities(polarised_model, 1 << 23, seed=903)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(mc.ordering_counts.values()) == 1 << 23
+        assert peak < 32 << 20
 
     @pytest.mark.parametrize("priors, ordering", [
         ((1 / 3, 1 / 3, 1 / 3), (0, 1, 2)),

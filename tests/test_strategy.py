@@ -1,6 +1,7 @@
 """Dead zones, the rate bound, peak support, and parameter sweeps."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from voteflow.errors import (
     NonPositiveHorizon,
     NonPositiveRate,
     NotInteriorCandidate,
+    NumericalError,
     PriorsNotNormalized,
     RequiresThreeCandidates,
     ValidationError,
@@ -283,6 +285,25 @@ class TestMaxSupport:
         model = ElectionModel((0.0, 1.0, 2.0), (0.6, 0.4, 0.0), 1.0, 1.0)
         with pytest.raises(NoBracket):
             max_support_point(model, 1)
+
+    def test_curve_peak_past_the_float_range_raises(self):
+        # the centre's y* grows as 1 / scale and passes the float maximum
+        # between positions x 1e-308 and x 1e-310, with both rivals
+        # supported; past it the curve read 1.0, a support the centre never
+        # reaches, where the point search raises
+        grid = (0.5, 1.0, 2.0)
+        near, far = (
+            ElectionModel(tuple(scale * x for x in (1.0, 2.0, 3.0)), (0.38, 0.26, 0.36), 1.0, 1.0)
+            for scale in (1e-308, 1e-310)
+        )
+        curve = max_support_curve(near, grid).values[:, 1]
+        assert curve == pytest.approx([0.2600703] * 3, abs=1e-7)
+        points = [max_support_point(near.with_schedule(s), 1).pi_max for s in grid]
+        np.testing.assert_array_equal(curve, points)
+        with pytest.raises(NumericalError) as point:
+            max_support_point(far, 1)
+        with pytest.raises(NumericalError, match=re.escape(str(point.value))):
+            max_support_curve(far, grid)
 
     def test_five_candidate_equal_prior_curve(self):
         # interior peaks below 1, rising with the information rate
