@@ -283,16 +283,18 @@ def max_support_curve(
 
     Spectrum-end candidates have no interior peak: their support is monotone
     in the signal and approaches 1 (0 for a zero prior), reported as such;
-    so is an interior candidate with no supported rival on one side. An
-    interior peak whose signal lies beyond the float range at some rate
-    raises ``NumericalError``, as in ``max_support_point``. The model's
-    schedule, the axis varied here, is not read.
+    so is an interior candidate with no supported rival on one side. The
+    peak of a supported interior candidate whose signal lies beyond the
+    float range at some rate raises ``NumericalError``, as in
+    ``max_support_point``. The model's schedule, the axis varied here, is
+    not read.
     """
     grid = tuple(sigma_grid) if sigma_grid is not None else default_sigma_grid()
     n = model.n_candidates
     _, peak, _ = _support_peaks(model, _rate_variances(grid, model.horizon), np.arange(1, n - 1))
     for k in np.flatnonzero(np.isnan(peak).any(axis=0)) + 1:
-        if not _one_sided(model, k):
+        # a zero prior's support is 0 at every signal, wherever its peak lies
+        if model.priors_arr[k] > 0.0 and not _one_sided(model, k):
             raise _peak_out_of_range(model, k)
     values = np.tile(model.priors_arr > 0.0, (len(grid), 1)).astype(np.float64)
     values[:, 1:-1] = np.where(np.isnan(peak), values[:, 1:-1], peak)

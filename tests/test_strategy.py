@@ -289,8 +289,8 @@ class TestMaxSupport:
     def test_curve_peak_past_the_float_range_raises(self):
         # the centre's y* grows as 1 / scale and passes the float maximum
         # between positions x 1e-308 and x 1e-310, with both rivals
-        # supported; past it the curve read 1.0, a support the centre never
-        # reaches, where the point search raises
+        # supported; past it the curve must raise as the point search does,
+        # not read 1.0, a support the centre never reaches
         grid = (0.5, 1.0, 2.0)
         near, far = (
             ElectionModel(tuple(scale * x for x in (1.0, 2.0, 3.0)), (0.38, 0.26, 0.36), 1.0, 1.0)
@@ -304,6 +304,9 @@ class TestMaxSupport:
             max_support_point(far, 1)
         with pytest.raises(NumericalError, match=re.escape(str(point.value))):
             max_support_curve(far, grid)
+        # a zero-prior centre's support is 0 wherever its peak would lie
+        dead = ElectionModel(far.positions, (0.6, 0.0, 0.4), 1.0, 1.0)
+        np.testing.assert_array_equal(max_support_curve(dead, grid).values[:, 1], 0.0)
 
     def test_five_candidate_equal_prior_curve(self):
         # interior peaks below 1, rising with the information rate
