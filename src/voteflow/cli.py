@@ -543,7 +543,10 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
     n_paths = cfg.simulation["n_paths"]
     n_steps = cfg.simulation["n_steps"]
     ensemble = simulate_paths(model, n_paths, n_steps, seed)
-    bundle = winprob_paths(ensemble)
+    # far positions overflow the log weights; the report's finiteness check
+    # names the first NaN they leave
+    with np.errstate(over="ignore", invalid="ignore"):
+        bundle = winprob_paths(ensemble)
 
     def rows():
         times = bundle.times.tolist()

@@ -15,13 +15,14 @@ multiset of its terminal signals, so it draws how many paths each label
 holds (one multinomial count vector) and the signals label by label, not a
 label per path: the same law for the multiset.
 
-Reproducibility: path i's random stream is a pure function of (seed, i), so
-ensembles are bit-identical across runs and independent of evaluation
-order; simulating a prefix of the paths yields a prefix of the ensemble.
-Likewise tally block i draws from the stream of (seed, i). Blocks run on a
-thread pool of at most one worker per CPU and their tallies are added in
-block order, so a tally is bit-identical across runs and machines and
-never depends on the CPU count.
+Reproducibility: path simulation draws every label from the stream of
+(seed, 0) and every normal increment from the stream of (seed, 1), each in
+path order, so ensembles are bit-identical across runs and independent of
+evaluation order, and simulating fewer paths of the same length yields a
+prefix of the ensemble. Tally block i draws from the stream of (seed, i).
+Blocks run on a thread pool of at most one worker per CPU and their
+tallies are added in block order, so a tally is bit-identical across runs
+and machines and never depends on the CPU count.
 """
 
 from __future__ import annotations
@@ -151,19 +152,17 @@ def _path_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _draw_latent(rng: np.random.Generator, cum_priors: np.ndarray) -> int:
-    u = rng.random()
-    # min guards the u > cum_priors[-1] sliver left by rounding in the cumsum
-    return min(int(np.searchsorted(cum_priors, u, side="right")), len(cum_priors) - 1)
-
-
 def simulate_paths(
     model: ElectionModel, n_paths: int, n_steps: int, seed: int
 ) -> PathEnsemble:
     """Simulate accumulated-signal paths under the physical measure.
 
-    Deterministic for a fixed seed; path i consumes its own stream derived
-    from (seed, i), so the ensemble does not depend on generation order.
+    Deterministic for a fixed seed. The labels are one draw of n_paths from
+    the priors, from the stream of (seed, 0); the standard normals are one
+    [n_paths, n_steps] draw, row by row, from the stream of (seed, 1). Each
+    stream is read in path order, so a run with fewer paths and the same
+    n_steps yields a prefix of the ensemble. Two streams, not one: the
+    normals would otherwise start at an offset that depends on n_paths.
     """
     _check_counts(seed, n_paths=n_paths, n_steps=n_steps)
     horizon = model.horizon
@@ -172,18 +171,12 @@ def simulate_paths(
     rates = model.schedule.rates_at(times[:-1])
     drift_unit = rates * rates * dt
     noise_unit = rates * math.sqrt(dt)
-    cum_priors = np.cumsum(model.priors_arr)
-    positions = model.positions_arr
 
-    latent = np.zeros(n_paths, dtype=np.int64)
+    latent = _path_rng(seed, 0).choice(model.n_candidates, size=n_paths, p=model.priors_arr)
+    z = _path_rng(seed, 1).standard_normal((n_paths, n_steps))
     signals = np.zeros((n_paths, n_steps + 1))
-    for i in range(n_paths):
-        rng = _path_rng(seed, i)
-        label = _draw_latent(rng, cum_priors)
-        z = rng.standard_normal(n_steps)
-        increments = drift_unit * positions[label] + noise_unit * z
-        latent[i] = label
-        signals[i, 1:] = np.cumsum(increments)
+    increments = drift_unit * model.positions_arr[latent, None] + noise_unit * z
+    np.cumsum(increments, axis=1, out=signals[:, 1:])
     return PathEnsemble(
         model=model,
         seed=int(seed),

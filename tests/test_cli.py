@@ -316,9 +316,7 @@ class TestSimulate:
         ]
         out = tmp_path / f"paths.{fmt}"
         argv = ["simulate", "--config", write_config(tmp_path, payload), "--format", fmt]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main([*argv, "--out", str(out)]) == 4
+        assert main([*argv, "--out", str(out)]) == 4
         assert not out.exists()
         stdout, err = capsys.readouterr()
         assert stdout == ""

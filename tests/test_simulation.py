@@ -43,6 +43,19 @@ class TestSimulatePaths:
         large = simulate_paths(polarised_model, 8, 32, seed=7)
         np.testing.assert_array_equal(small.signal_paths, large.signal_paths[:3])
         np.testing.assert_array_equal(small.latent, large.latent[:3])
+        # the labels come from a stream of their own, whatever the path length
+        short = simulate_paths(polarised_model, 8, 5, seed=7)
+        np.testing.assert_array_equal(short.latent, large.latent)
+
+    @pytest.mark.parametrize("n_paths", [1, 10_000])
+    def test_two_streams_whatever_the_path_count(self, polarised_model, monkeypatch, n_paths):
+        indices = []
+        path_rng = simulation_module._path_rng
+        monkeypatch.setattr(
+            simulation_module, "_path_rng", lambda seed, i: indices.append(i) or path_rng(seed, i)
+        )
+        simulate_paths(polarised_model, n_paths, 2, seed=3)
+        assert indices == [0, 1]
 
     def test_different_seeds_differ(self, polarised_model):
         a = simulate_paths(polarised_model, 4, 16, seed=1)
