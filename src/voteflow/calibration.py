@@ -30,7 +30,7 @@ from .errors import (
     Unattainable,
     ValidationError,
 )
-from .model import ElectionModel, _bisect_floats, _rate_variances
+from .model import ElectionModel, _bisect_floats, _is_index, _rate_variances
 from .outcomes import _win_kernel
 
 __all__ = [
@@ -175,8 +175,8 @@ def implied_sigma(model: ElectionModel, candidate: int, target: float) -> tuple[
     if not (0.0 <= target <= 1.0):
         raise ValidationError(f"target probability must lie in [0, 1], got {target}")
     n = model.n_candidates
-    if not (0 <= candidate < n):
-        raise ValidationError(f"candidate index {candidate} outside [0, {n})")
+    if not _is_index(candidate, 0, n):
+        raise ValidationError(f"candidate index {candidate!r} is not an integer in [0, {n})")
 
     def win(sigmas) -> np.ndarray:
         variances = _rate_variances(sigmas, model.horizon)

@@ -1,10 +1,12 @@
 """Command-line front end: scenario configs in, JSON/CSV reports out.
 
 One JSON config format drives every subcommand (see README for the schema);
-outputs are deterministic byte-for-byte given the same inputs and seeds.
-CSV files carry '#'-prefixed metadata lines, a header row, 17-significant-
-digit floats, and LF line endings. Exit codes: 0 success, 2 config or
-validation error, 3 I/O or input-data error, 4 numerical failure.
+``load_config`` validates its race once, as the ``ElectionModel`` that every
+subcommand reads. Outputs are deterministic byte-for-byte given the same
+inputs and seeds. CSV files carry '#'-prefixed metadata lines, a header row,
+17-significant-digit floats, and LF line endings. Exit codes: 0 success, 2
+config or validation error (an invalid race under every subcommand), 3 I/O
+or input-data error, 4 numerical failure.
 
 Each subcommand returns one ``Report``; ``main`` hands it to ``_emit``,
 which checks that its numbers are finite and writes it in the chosen
@@ -81,10 +83,7 @@ MAX_PRIOR_GRID_POINTS = 10**5
 @dataclass(frozen=True)
 class ScenarioConfig:
     names: tuple[str, ...]
-    positions: tuple[float, ...]
-    priors: tuple[float, ...]
-    horizon_years: float
-    schedule: InfoSchedule
+    model: ElectionModel
     sigma_grid: Optional[tuple[float, ...]] = None
     prior_grid: Optional[tuple[tuple[float, ...], ...]] = None
     prior_grid_step: Optional[float] = None
@@ -92,10 +91,6 @@ class ScenarioConfig:
     simulation: Optional[dict] = None
     sources: Optional[dict] = None
     target: Optional[dict] = None
-
-    def model(self) -> ElectionModel:
-        with _field("invalid model parameters"):
-            return ElectionModel(self.positions, self.priors, self.horizon_years, self.schedule)
 
 
 @contextmanager
@@ -162,9 +157,8 @@ def _vectors(value, context: str) -> tuple[tuple[float, ...], ...]:
 
 def _parse_schedule(value, context: str) -> InfoSchedule:
     if _is_number(value):
-        if value <= 0:
-            raise ConfigError(f"{context}: sigma must be > 0, got {value}")
-        return InfoSchedule.constant(float(value))
+        with _field(context):
+            return InfoSchedule.constant(float(value))
     if isinstance(value, dict):
         breaks = _float_list(_require(value, "breakpoints", list, context), f"{context}.breakpoints")
         rates = _float_list(_require(value, "rates", list, context), f"{context}.rates")
@@ -204,6 +198,8 @@ def load_config(path: str) -> ScenarioConfig:
 
     horizon = _require(raw, "horizon_years", float, path)
     schedule = _parse_schedule(_require(raw, "sigma", object, path), f"{path}.sigma")
+    with _field("invalid model parameters"):
+        model = ElectionModel(positions, priors, horizon, schedule)
 
     sigma_grid = prior_grid = position_variants = None
     prior_grid_step = None
@@ -278,10 +274,7 @@ def load_config(path: str) -> ScenarioConfig:
 
     return ScenarioConfig(
         names=tuple(names),
-        positions=tuple(positions),
-        priors=tuple(priors),
-        horizon_years=horizon,
-        schedule=schedule,
+        model=model,
         sigma_grid=sigma_grid,
         prior_grid=prior_grid,
         prior_grid_step=prior_grid_step,
@@ -436,7 +429,7 @@ def _ordering_label(ordering: Sequence[int], names: Sequence[str]) -> str:
 # --------------------------------------------------------------------------
 
 def cmd_forecast(args, cfg: ScenarioConfig) -> Report:
-    model = cfg.model()
+    model = cfg.model
     outcome = win_probabilities(model)
     partition = outcome.partition
     ordering_probs = {
@@ -491,7 +484,7 @@ def cmd_forecast(args, cfg: ScenarioConfig) -> Report:
 
 
 def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
-    model = cfg.model()
+    model = cfg.model
     meta = {"axis": args.axis}
     if args.axis == "sigma":
         with _rate_grid_field(args, cfg):
@@ -520,8 +513,8 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
         axis_columns = ["sigma"]
         for vi, variant in enumerate(cfg.position_variants):
             meta[f"variant_{vi + 1}"] = ";".join(_fmt(x) for x in variant)
-    meta["horizon_years"] = _fmt(cfg.horizon_years)
-    meta["sigma"] = _schedule_meta(cfg.schedule)
+    meta["horizon_years"] = _fmt(model.horizon)
+    meta["sigma"] = _schedule_meta(model.schedule)
     header = axis_columns + _named(table.columns, cfg.names)
     rows = np.column_stack((table.axis_values, table.values))  # a prior point spans columns
     return Report(
@@ -536,7 +529,7 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
 def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
     if cfg.simulation is None:
         raise ConfigError(f"{args.config}: simulate needs a simulation block")
-    model = cfg.model()
+    model = cfg.model
     seed = args.seed if args.seed is not None else cfg.simulation["seed"]
     if seed < 0:
         raise ConfigError(f"--seed: expected an integer >= 0, got {seed}")
@@ -576,7 +569,7 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
 
 
 def cmd_deadzone(args, cfg: ScenarioConfig) -> Report:
-    model = cfg.model()
+    model = cfg.model
     reports = {name: is_dead_zone(model, i) for i, name in enumerate(cfg.names)}
     return Report(
         json={
@@ -599,7 +592,7 @@ def cmd_deadzone(args, cfg: ScenarioConfig) -> Report:
 
 
 def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
-    model = cfg.model()
+    model = cfg.model
     with _rate_grid_field(args, cfg):
         table = max_support_curve(model, cfg.sigma_grid)
     points = {
@@ -611,9 +604,9 @@ def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
             "sigma_grid": table.axis_values,
             "max_support": dict(zip(cfg.names, table.values.T)),
             "at_config_sigma": points,
-            "horizon_years": cfg.horizon_years,
+            "horizon_years": model.horizon,
         },
-        meta={"horizon_years": _fmt(cfg.horizon_years)},
+        meta={"horizon_years": _fmt(model.horizon)},
         header=["sigma", *_named(table.columns, cfg.names)],
         kinds=[float] * (1 + len(table.columns)),
         rows=_array_rows(np.column_stack((table.axis_values, table.values))),
@@ -684,7 +677,7 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
     obj: dict = {}
     rows = []
     if args.data is not None:
-        series = read_poll_csv(args.data, cfg.names, cfg.positions)
+        series = read_poll_csv(args.data, cfg.names, cfg.model.positions)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DegenerateSeriesWarning)
             est = estimate_sigma_historic(series)
@@ -701,10 +694,9 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
         }
         rows.append(("historic", est.sigma))
     if cfg.target is not None:
-        model = cfg.model()  # a bad race is reported as the race's fault, not the target's
         k = cfg.names.index(cfg.target["candidate"])
         with _field(f"{args.config}.target.win_probability"):
-            solutions = implied_sigma(model, k, cfg.target["win_probability"])
+            solutions = implied_sigma(cfg.model, k, cfg.target["win_probability"])
         obj["implied"] = {
             "candidate": cfg.target["candidate"],
             "win_probability": cfg.target["win_probability"],

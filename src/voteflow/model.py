@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -130,6 +131,15 @@ def _as_schedule(schedule: ScheduleLike) -> InfoSchedule:
     if isinstance(schedule, InfoSchedule):
         return schedule
     return InfoSchedule.constant(float(schedule))
+
+
+def _is_index(k, lo: int, hi: int) -> bool:
+    """Whether k is a candidate index in [lo, hi): an integer, numpy's
+    included, but no float, not even 1.0, which numpy would not index by."""
+    try:
+        return lo <= operator.index(k) < hi
+    except TypeError:
+        return False
 
 
 def _positions(values) -> tuple[float, ...]:
@@ -274,7 +284,12 @@ class ElectionModel:
         return lower, upper
 
     def with_schedule(self, schedule: ScheduleLike) -> "ElectionModel":
-        return _with_schedule(self, schedule)
+        """The race under another schedule, with its priors bit for bit:
+        their ``fsum`` is 1 only to rounding, so normalising them again could
+        move them by an ulp, and at a dead-zone edge that decides who can win."""
+        moved = ElectionModel(self.positions, self.priors, self.horizon, schedule)
+        object.__setattr__(moved, "priors", self.priors)
+        return moved
 
 
 def effective_variance(schedule: ScheduleLike, t0: float, t1: float) -> float:
@@ -393,15 +408,6 @@ def _softmax(log_weight: np.ndarray) -> np.ndarray:
     w = np.exp(log_weight - np.max(log_weight, axis=-1, keepdims=True))
     w /= np.sum(w, axis=-1, keepdims=True)
     return w
-
-
-def _with_schedule(model: ElectionModel, schedule: ScheduleLike) -> ElectionModel:
-    """``model`` under another schedule, with its priors bit for bit: their
-    ``fsum`` is 1 only to rounding, so normalising them again could move
-    them by an ulp, and at a dead-zone edge that decides who can win."""
-    moved = ElectionModel(model.positions, model.priors, model.horizon, schedule)
-    object.__setattr__(moved, "priors", model.priors)
-    return moved
 
 
 def condition_on_history(model: ElectionModel, y: float, t: float) -> ElectionModel:

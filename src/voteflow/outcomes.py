@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveRate,
 )
 from .gaussian import normal_mass, normal_masses, tail_values
-from .model import ElectionModel, _crossings, _lead_intervals
+from .model import ElectionModel, _crossings, _is_index, _lead_intervals
 
 __all__ = [
     "PartitionCell",
@@ -112,7 +112,7 @@ def crossing_threshold(model: ElectionModel, k: int, j: int) -> float:
     pair is tied everywhere at zero support).
     """
     n = model.n_candidates
-    if k == j or not (0 <= k < n) or not (0 <= j < n):
+    if k == j or not (_is_index(k, 0, n) and _is_index(j, 0, n)):
         raise InvalidPermutation(f"need distinct candidate indices in [0, {n}), got ({k}, {j})")
     return float(model.crossing_table[min(k, j), max(k, j)])
 
@@ -184,12 +184,11 @@ def interval_probability(model: ElectionModel, a: float, b: float) -> float:
 def ordering_probability(model: ElectionModel, permutation) -> float:
     """Probability that the election-day ranking (best first) equals
     ``permutation``. Zero for orderings realized on no cell."""
-    perm = tuple(int(i) for i in permutation)
-    if sorted(perm) != list(range(model.n_candidates)):
-        raise InvalidPermutation(
-            f"{permutation!r} is not a strict ordering of all {model.n_candidates} candidates"
-        )
-    return _ordering_sums(model, ordering_partition(model)).get(perm, 0.0)
+    n = model.n_candidates
+    perm = tuple(permutation)
+    if not all(_is_index(i, 0, n) for i in perm) or sorted(perm) != list(range(n)):
+        raise InvalidPermutation(f"{permutation!r} is not a strict ordering of all {n} candidates")
+    return _ordering_sums(model, ordering_partition(model)).get(tuple(map(int, perm)), 0.0)
 
 
 def _ordering_sums(

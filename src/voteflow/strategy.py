@@ -35,7 +35,8 @@ from .errors import (
     ZeroPrior,
 )
 from .model import (
-    ElectionModel, _bisect_floats, _log_weight, _positions, _priors, _rate_variances, _softmax
+    ElectionModel, _bisect_floats, _is_index, _log_weight, _positions, _priors, _rate_variances,
+    _softmax,
 )
 from .outcomes import _win_kernel
 
@@ -132,8 +133,8 @@ def is_dead_zone(model: ElectionModel, k: int) -> DeadZoneReport:
     rate bound below which the dead zone persists.
     """
     n = model.n_candidates
-    if not (0 <= k < n):
-        raise ValidationError(f"candidate index {k} outside [0, {n})")
+    if not _is_index(k, 0, n):
+        raise ValidationError(f"candidate index {k!r} is not an integer in [0, {n})")
     lower, upper = model.lead_intervals
     dead = not lower[k] < upper[k]
     bound = None
@@ -205,8 +206,8 @@ def _max_support_points(model: ElectionModel, ks) -> list[MaxSupportReport]:
     batched search at the model's terminal variance."""
     n = model.n_candidates
     for k in ks:
-        if not (0 < k < n - 1):
-            raise NotInteriorCandidate(f"candidate {k} is not interior for N={n}")
+        if not _is_index(k, 1, n - 1):
+            raise NotInteriorCandidate(f"candidate {k!r} is not an interior index for N={n}")
     peaks = _support_peaks(model, [model.terminal_variance], ks)
     reports = []
     for k, y_star, pi_max, residual in zip(ks, *(a[0].tolist() for a in peaks)):

@@ -1047,14 +1047,39 @@ def test_coincident_thresholds_are_silent_by_default(argv):
         ("five_candidate_peak_support.json", ["maxsupport"]),
         ("two_candidate_week_out.json", ["calibrate"]),
         ("win_vs_support.json", ["sweep", "--axis", "priors"]),
+        ("correlated_sources.json", ["aggregate"]),
     ],
-    ids=["maxsupport", "calibrate", "sweep-priors"],
+    ids=["maxsupport", "calibrate", "sweep-priors", "aggregate"],
 )
 def test_subcommand_builds_one_model_per_race(built_models, capsys, config, argv):
     # the config's race is validated once, and every analysis of the
     # subcommand reads that one model
     assert main([argv[0], "--config", str(CONFIG_DIR / config), *argv[1:]]) == 0
     assert len(built_models) == 1
+
+
+@pytest.mark.parametrize("argv", [["aggregate"], ["calibrate", "--data"]],
+                         ids=["aggregate", "calibrate-data"])
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda cfg: cfg["candidates"][1].update(position=5.0),
+        lambda cfg: cfg["candidates"][0].update(prior=0.9),
+        lambda cfg: cfg.update(horizon_years=-1.0),
+    ],
+    ids=["positions-1-5-3", "priors-sum-1.52", "horizon-minus-1"],
+)
+def test_invalid_race_is_a_config_error_where_no_analysis_reads_it(tmp_path, capsys, change, argv):
+    # aggregate reads only the sources block and calibrate --data only the
+    # positions, yet the race is checked as the config is read, before either
+    payload = json.loads((CONFIG_DIR / "correlated_sources.json").read_text(encoding="utf-8"))
+    if argv[-1] == "--data":
+        argv = [*argv, write_polls(tmp_path, payload)]
+    change(payload)
+    assert main([*argv, "--config", write_config(tmp_path, payload)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: invalid model parameters: "), err
 
 
 # --------------------------------------------------------------------------

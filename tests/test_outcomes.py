@@ -11,8 +11,10 @@ import voteflow.outcomes
 from voteflow import (
     ElectionModel,
     crossing_threshold,
+    implied_sigma,
     interval_probability,
     is_dead_zone,
+    max_support_point,
     ordering_partition,
     ordering_probability,
     posterior_support,
@@ -24,6 +26,8 @@ from voteflow.errors import (
     DegeneratePrior,
     InvalidInterval,
     InvalidPermutation,
+    NotInteriorCandidate,
+    ValidationError,
 )
 
 from conftest import (
@@ -464,3 +468,25 @@ class TestTwoCandidateFormula:
                 ElectionModel((0.0, 1.0), (p, 1.0 - p), horizon, sigma)
             ).win_probs[0]
             assert engine == pytest.approx(direct, abs=1e-12)
+
+
+# each library entry point that takes a candidate index, with the index k in
+# place, and the error it raises for an index out of range
+INDEXED_CALLS = {
+    "crossing_threshold": (lambda m, k: crossing_threshold(m, k, 2), InvalidPermutation),
+    "ordering_probability": (lambda m, k: ordering_probability(m, (0, k, 2)), InvalidPermutation),
+    "is_dead_zone": (is_dead_zone, ValidationError),
+    "max_support_point": (max_support_point, NotInteriorCandidate),
+    "implied_sigma": (lambda m, k: implied_sigma(m, k, 0.2), ValidationError),
+}
+
+
+@pytest.mark.parametrize("index", [1.0, 1.5])
+@pytest.mark.parametrize("name", INDEXED_CALLS)
+def test_candidate_index_must_be_an_integer(polarised_model, name, index):
+    # numpy indexed by a float raised its own IndexError, and a permutation
+    # entry of 2.5 was truncated to 2
+    call, error = INDEXED_CALLS[name]
+    call(polarised_model, np.int64(1))  # a numpy integer is an index
+    with pytest.raises(error):
+        call(polarised_model, index)

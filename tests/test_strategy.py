@@ -79,7 +79,7 @@ class TestDeadZone:
         # fmax/fmin of the crossing table elsewhere, and is_dead_zone reads
         # its flag from them
         races = [
-            (load_config(str(CONFIG_DIR / "polarised_low_info.json")).model(), [1]),
+            (load_config(str(CONFIG_DIR / "polarised_low_info.json")).model, [1]),
             (ElectionModel(POLARISED_X, (0.55, 0.45, 0.0), 1.0, 1.0), [2]),
         ]
         for model, dead in races:

@@ -2,7 +2,7 @@
 
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 24
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 26
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
 axes, simulate with and without ``--seed 7``, calibrate, calibrate
 ``--data`` on a fixed 201-row poll CSV, on a constant 5-row one and on one
@@ -11,9 +11,10 @@ candidate at win probability 0, the last at 0.45 and the first at its own
 prior, forecast and deadzone on a zero-first config: the first candidate's
 prior moved onto the second, forecast, deadzone, maxsupport and calibrate
 ``--data`` (the fixed poll CSV) on a near config: every position times
-1e-160, and simulate and calibrate ``--data`` on a far config: every
-position times 1e200) on each config in ``configs/``, in both formats, once
-to stdout and once to ``--out``: 576 runs. The poll CSVs and derived
+1e-160, simulate and calibrate ``--data`` on a far config: every
+position times 1e200, and aggregate and calibrate ``--data`` on a bad-race
+config: the first two positions swapped) on each config in ``configs/``, in
+both formats, once to stdout and once to ``--out``: 624 runs. The poll CSVs and derived
 configs are written to ``OUT_DIR/polls/``. Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
 ``stdout``, ``stderr`` (with SRC_DIR written as ``<src>``), ``exit_code``
@@ -97,6 +98,11 @@ INVOCATIONS = {
                                     "--config", f"polls/{{stem}}-{label}.json"]
         for label in SCALES
     },
+    # a race the model rejects (positions out of order), under the two
+    # subcommands whose own work needs no model
+    "aggregate-bad-race": ["aggregate", "--config", "polls/{stem}-bad-race.json"],
+    "calibrate-data-bad-race": ["calibrate", "--data", "polls/{stem}.csv",
+                                "--config", "polls/{stem}-bad-race.json"],
 }
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -162,6 +168,14 @@ def write_scaled(config: dict, stem: str, polls: Path) -> None:
         (polls / f"{stem}-{label}.json").write_text(text + "\n", encoding="utf-8")
 
 
+def write_bad_race(config: dict, stem: str, polls: Path) -> None:
+    """The config with the first two candidates' positions swapped."""
+    first, second, *rest = config["candidates"]
+    swapped = [{**first, "position": second["position"]}, {**second, "position": first["position"]}]
+    text = json.dumps({**config, "candidates": [*swapped, *rest]}, indent=2)
+    (polls / f"{stem}-bad-race.json").write_text(text + "\n", encoding="utf-8")
+
+
 def run_one(src: Path, out_dir: Path, stem: str, name: str, fmt: str, dest: str) -> None:
     run_dir = Path(stem) / name / f"{fmt}-{dest}"
     (out_dir / run_dir).mkdir(parents=True, exist_ok=True)
@@ -195,6 +209,7 @@ def record(src: Path, out_dir: Path) -> int:
         write_targets(config, stem, out_dir / "polls")
         write_zero_first(config, stem, out_dir / "polls")
         write_scaled(config, stem, out_dir / "polls")
+        write_bad_race(config, stem, out_dir / "polls")
     runs = [
         (stem, name, fmt, dest)
         for stem in stems
