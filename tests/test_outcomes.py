@@ -484,8 +484,8 @@ INDEXED_CALLS = {
 @pytest.mark.parametrize("index", [1.0, 1.5])
 @pytest.mark.parametrize("name", INDEXED_CALLS)
 def test_candidate_index_must_be_an_integer(polarised_model, name, index):
-    # numpy indexed by a float raised its own IndexError, and a permutation
-    # entry of 2.5 was truncated to 2
+    # a float is rejected before it is used: numpy would raise its own
+    # IndexError for it, and int() would truncate a permutation entry of 2.5
     call, error = INDEXED_CALLS[name]
     call(polarised_model, np.int64(1))  # a numpy integer is an index
     with pytest.raises(error):
