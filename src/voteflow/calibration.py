@@ -30,7 +30,7 @@ from .errors import (
     Unattainable,
     ValidationError,
 )
-from .model import ElectionModel, _bisect_floats, _is_index, _rate_variances
+from .model import ElectionModel, _bisect_floats, _is_index, _positions, _rate_variances
 from .outcomes import _win_kernel
 
 __all__ = [
@@ -51,7 +51,8 @@ SCAN_POINTS = 200
 
 @dataclass(frozen=True, eq=False)
 class PollSeries:
-    """Observed support-rate time series on a fixed candidate spectrum."""
+    """Observed support-rate time series on a fixed candidate spectrum,
+    whose positions are checked as a model's are."""
 
     times: np.ndarray
     supports: np.ndarray
@@ -61,10 +62,10 @@ class PollSeries:
         # copy, then freeze: callers keep ownership of what they passed in
         times = np.array(self.times, dtype=np.float64)
         supports = np.array(self.supports, dtype=np.float64)
-        positions = np.array(self.positions, dtype=np.float64)
+        positions = np.array(_positions(self.positions))
         if times.ndim != 1 or len(times) < 3:
             raise TooFewObservations(f"need at least 3 observations, got {times.shape}")
-        for name, arr in (("times", times), ("supports", supports), ("positions", positions)):
+        for name, arr in (("times", times), ("supports", supports)):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} must be finite")
         if np.any(np.diff(times) <= 0.0):
@@ -83,8 +84,6 @@ class PollSeries:
                 f"support row at t={float(times[worst])!r} sums to {float(row_sums[worst])!r},"
                 f" not 1 within {_ROW_SUM_TOL}"
             )
-        if np.any(np.diff(positions) <= 0.0):
-            raise ValidationError("positions must be strictly increasing")
         for name, arr in (("times", times), ("supports", supports), ("positions", positions)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

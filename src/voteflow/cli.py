@@ -42,7 +42,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .model import ElectionModel, InfoSchedule
+from .model import ElectionModel, InfoSchedule, _rate_variances
 from .outcomes import win_probabilities
 from .simulation import simulate_paths, winprob_paths
 from .strategy import (
@@ -101,13 +101,6 @@ def _field(context: str, kind=ValidationError):
         yield
     except kind as exc:
         raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _rate_grid_field(args, cfg: ScenarioConfig):
-    """``_field`` for a rejected rate grid: sweep.sigma_grid, or horizon_years
-    when the default grid's terminal variances under- or overflow."""
-    field = "sweep.sigma_grid" if cfg.sigma_grid is not None else "horizon_years"
-    return _field(f"{args.config}.{field}", NonPositiveRate)
 
 
 def _is_number(value) -> bool:
@@ -178,8 +171,6 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"{path}: top level must be an object")
 
     candidates = _require(raw, "candidates", list, path)
-    if len(candidates) < 2:
-        raise ConfigError(f"{path}.candidates: need at least two candidates")
     names, positions, priors = [], [], []
     for i, entry in enumerate(candidates):
         ctx = f"{path}.candidates[{i}]"
@@ -211,8 +202,9 @@ def load_config(path: str) -> ScenarioConfig:
             sigma_grid = _float_list(sweep["sigma_grid"], f"{path}.sweep.sigma_grid")
             if not sigma_grid:
                 raise ConfigError(f"{path}.sweep.sigma_grid: expected at least one rate")
-            if any(s <= 0 for s in sigma_grid):
-                raise ConfigError(f"{path}.sweep.sigma_grid: entries must be > 0")
+            # checked here, so only the default rate grid can fail a command (at horizon_years)
+            with _field(f"{path}.sweep.sigma_grid"):
+                _rate_variances(sigma_grid, model.horizon)
         if "prior_grid" in sweep:
             prior_grid = _vectors(sweep["prior_grid"], f"{path}.sweep.prior_grid")
             if not prior_grid:
@@ -221,14 +213,11 @@ def load_config(path: str) -> ScenarioConfig:
                 raise ConfigError(f"{path}.sweep: give prior_grid or prior_grid_step, not both")
         if "prior_grid_step" in sweep:
             ctx = f"{path}.sweep.prior_grid_step"
-            step = sweep["prior_grid_step"]
-            if not _is_number(step) or not (0 < step <= 1):
-                raise ConfigError(f"{ctx}: expected a number in (0, 1]")
+            step = prior_grid_step = _require(sweep, "prior_grid_step", float, f"{path}.sweep")
             with _field(ctx):
                 points = math.comb(_simplex_cells(step) + len(names) - 1, len(names) - 1)
             if points > MAX_PRIOR_GRID_POINTS:
                 raise ConfigError(f"{ctx}: {points} grid points exceed {MAX_PRIOR_GRID_POINTS}")
-            prior_grid_step = float(step)
         if "position_variants" in sweep:
             position_variants = _vectors(
                 sweep["position_variants"], f"{path}.sweep.position_variants"
@@ -487,7 +476,7 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model
     meta = {"axis": args.axis}
     if args.axis == "sigma":
-        with _rate_grid_field(args, cfg):
+        with _field(f"{args.config}.horizon_years", NonPositiveRate):
             table = sweep_sigma(model, cfg.sigma_grid)
         axis_columns = ["sigma"]
     elif args.axis == "priors":
@@ -507,7 +496,7 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
             raise MissingSweepBlock("position sweep needs sweep.position_variants in the config")
         with (
             _field(f"{args.config}.sweep.position_variants", NonIncreasingPositions),
-            _rate_grid_field(args, cfg),
+            _field(f"{args.config}.horizon_years", NonPositiveRate),
         ):
             table = sweep_positions(model, cfg.position_variants, cfg.sigma_grid)
         axis_columns = ["sigma"]
@@ -531,11 +520,10 @@ def cmd_simulate(args, cfg: ScenarioConfig) -> Report:
         raise ConfigError(f"{args.config}: simulate needs a simulation block")
     model = cfg.model
     seed = args.seed if args.seed is not None else cfg.simulation["seed"]
-    if seed < 0:
-        raise ConfigError(f"--seed: expected an integer >= 0, got {seed}")
     n_paths = cfg.simulation["n_paths"]
     n_steps = cfg.simulation["n_steps"]
-    ensemble = simulate_paths(model, n_paths, n_steps, seed)
+    with _field("--seed"):  # the config's counts and seed were checked as it was read
+        ensemble = simulate_paths(model, n_paths, n_steps, seed)
     # far positions overflow the log weights; the report's finiteness check
     # names the first NaN they leave
     with np.errstate(over="ignore", invalid="ignore"):
@@ -593,7 +581,7 @@ def cmd_deadzone(args, cfg: ScenarioConfig) -> Report:
 
 def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
     model = cfg.model
-    with _rate_grid_field(args, cfg):
+    with _field(f"{args.config}.horizon_years", NonPositiveRate):
         table = max_support_curve(model, cfg.sigma_grid)
     points = {
         cfg.names[r.candidate]: {"y_star": r.y_star, "pi_max": r.pi_max, "residual": r.residual}

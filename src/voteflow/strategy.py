@@ -20,6 +20,7 @@ in deterministic grid order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -75,7 +76,9 @@ class MaxSupportReport:
 
     ``y_star`` is the accumulated-signal value at the peak (rate * raw
     process value for constant schedules); ``residual`` is the absolute
-    value of the posterior-weighted first-order condition there.
+    value of the posterior-weighted first-order condition there. A
+    zero-prior candidate has ``pi_max`` 0, with ``y_star`` and
+    ``residual`` NaN only where its root lies beyond the float range.
     """
 
     candidate: int
@@ -145,7 +148,7 @@ def is_dead_zone(model: ElectionModel, k: int) -> DeadZoneReport:
         and all(p > 0.0 for p in model.priors)
     ):
         bound = dead_zone_sigma_bound(model)
-    return DeadZoneReport(candidate=k, is_dead=dead, sigma_bound=bound)
+    return DeadZoneReport(candidate=operator.index(k), is_dead=dead, sigma_bound=bound)
 
 
 def dead_zone_sigma_bound(model: ElectionModel) -> Optional[float]:
@@ -196,7 +199,9 @@ def max_support_point(model: ElectionModel, k: int) -> MaxSupportReport:
     neighbouring floats, at any scale of the positions. Requires positive
     prior mass strictly on both sides of x_k; otherwise the support curve is
     monotone and has no interior peak (``NoBracket``). A peak whose signal
-    lies beyond the float range raises ``NumericalError``.
+    lies beyond the float range raises ``NumericalError``, unless k's own
+    prior is zero: its support is 0 at every signal, so ``pi_max`` is 0,
+    and ``y_star`` and ``residual`` are NaN.
     """
     return _max_support_points(model, [k])[0]
 
@@ -208,47 +213,37 @@ def _max_support_points(model: ElectionModel, ks) -> list[MaxSupportReport]:
     for k in ks:
         if not _is_index(k, 1, n - 1):
             raise NotInteriorCandidate(f"candidate {k!r} is not an interior index for N={n}")
+    ks = [operator.index(k) for k in ks]
     peaks = _support_peaks(model, [model.terminal_variance], ks)
-    reports = []
-    for k, y_star, pi_max, residual in zip(ks, *(a[0].tolist() for a in peaks)):
-        if math.isnan(pi_max):
-            if _one_sided(model, k):
-                raise NoBracket(f"no supported candidate on one side of x_{k}={model.positions[k]}")
-            raise _peak_out_of_range(model, k)
-        reports.append(MaxSupportReport(k, y_star, pi_max, residual))
-    return reports
-
-
-def _one_sided(model: ElectionModel, k: int) -> bool:
-    """Whether no candidate on one side of x_k has a positive prior: then
-    k's support is monotone in the signal and has no interior peak."""
-    priors = model.priors_arr
-    return not (priors[:k].any() and priors[k + 1:].any())
-
-
-def _peak_out_of_range(model: ElectionModel, k: int) -> NumericalError:
-    return NumericalError(
-        f"peak support of candidate {k}: both sides of x_{k}={model.positions[k]} hold "
-        "supported candidates, but the peak's signal y* lies beyond the float range"
-    )
+    y_star, pi_max, residual = (a[0].tolist() for a in peaks)
+    for k, peak in zip(ks, pi_max):
+        if math.isnan(peak):
+            raise NoBracket(f"no supported candidate on one side of x_{k}={model.positions[k]}")
+    return list(map(MaxSupportReport, ks, y_star, pi_max, residual))
 
 
 def _support_peaks(model: ElectionModel, variances, ks):
     """``max_support_point``'s search for candidates ks[K] of the model's
     race at terminal variances V[R]: y_star, pi_max and residual [R, K].
+    Every (rate, candidate) verdict is made here, once.
 
     g is bisected over the floats themselves (``_bisect_floats``), from
     -+reach = -+float max / max(1, 2 max|x|), where every y x_j is finite;
-    y_star is the final end with the smaller |g|. All three are NaN where
-    g(-reach) < 0 < g(reach) fails: where no candidate on one side of x_k
-    has a positive prior, or where the root lies beyond -+reach, as it does
-    for gaps near the smallest floats. A g that is not finite at
-    either end (every log weight -inf: x_j^2 V / 2 overflows) raises
-    NumericalError.
+    y_star is the final end with the smaller |g|. Where g(-reach) < 0 <
+    g(reach) fails, either no candidate on one side of x_k has a positive
+    prior (all three NaN), or the root lies beyond -+reach, as it does for
+    gaps near the smallest floats. There a zero-prior k gets pi_max 0, its
+    support at every signal, with y_star and residual NaN, and a supported
+    k raises NumericalError. A g that is not finite at either end (every
+    log weight -inf: x_j^2 V / 2 overflows) raises NumericalError too. The
+    first candidate in ks with an error raises it.
     """
     v = np.asarray(variances, dtype=np.float64)[:, None]
-    x = model.positions_arr
+    x, priors = model.positions_arr, model.priors_arr
+    ks = np.asarray(ks, dtype=np.intp)
     offsets = (x - x[ks, None])[..., None]  # [K, N, 1]: x_j - x_k
+    supported = np.cumsum(priors > 0.0)  # supported candidates up to each index
+    two_sided = (supported[ks - 1] > 0) & (supported[ks] < supported[-1])
 
     def g(y):
         support = _softmax(_log_weight(model, y, v))
@@ -258,22 +253,33 @@ def _support_peaks(model: ElectionModel, variances, ks):
     ends = np.array([-reach, reach])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         g_ends = g(ends)  # [2, R, K]
-        if not np.isfinite(g_ends).all():
-            e, r, i = np.argwhere(~np.isfinite(g_ends))[0]
+        found = (g_ends[0] < 0.0) & (g_ends[1] > 0.0)
+        broken = ~np.isfinite(g_ends)
+        beyond = ~found & two_sided & (priors[ks] > 0.0)
+        failed = np.flatnonzero(broken.any(axis=(0, 1)) | beyond.any(axis=0))
+        if failed.size:
+            i = failed[0]
+            k = ks[i]
+            if not broken[..., i].any():
+                raise NumericalError(
+                    f"peak support of candidate {k}: both sides of x_{k}={model.positions[k]} hold "
+                    "supported candidates, but the peak's signal y* lies beyond the float range"
+                )
+            e, r = np.argwhere(broken[..., i])[0]
             y, var = ends.flat[e].item(), v[r, 0].item()
             log_weight = _log_weight(model, y, var)
             raise NumericalError(
-                f"peak support of candidate {ks[i]}: posterior weights "
+                f"peak support of candidate {k}: posterior weights "
                 f"{_softmax(log_weight).tolist()} at y={y!r}, V={var!r} are not finite "
                 f"(log weights {log_weight.tolist()})"
             )
-    found = (g_ends[0] < 0.0) & (g_ends[1] > 0.0)
     lo = np.full(found.shape, -reach.view(np.int64))
     y_lo, y_hi = _bisect_floats(lo, -lo, lambda y: g(y) < 0.0)
     g_lo, g_hi = np.abs(g(y_lo)), np.abs(g(y_hi))
     y_star = np.where(found, np.where(g_hi < g_lo, y_hi, y_lo), np.nan)
     residual = np.where(found, np.minimum(g_lo, g_hi), np.nan)
-    pi_max = _softmax(_log_weight(model, y_star, v))[:, np.arange(len(ks)), ks]
+    peak = _softmax(_log_weight(model, y_star, v))[:, np.arange(len(ks)), ks]
+    pi_max = np.where(found, peak, np.where(two_sided, 0.0, np.nan))
     return y_star, pi_max, residual
 
 
@@ -284,19 +290,16 @@ def max_support_curve(
 
     Spectrum-end candidates have no interior peak: their support is monotone
     in the signal and approaches 1 (0 for a zero prior), reported as such;
-    so is an interior candidate with no supported rival on one side. The
-    peak of a supported interior candidate whose signal lies beyond the
-    float range at some rate raises ``NumericalError``, as in
+    so is an interior candidate with no supported rival on one side. A
+    zero-prior interior candidate reads 0, wherever its peak lies. The peak
+    of a supported interior candidate whose signal lies beyond the float
+    range at some rate raises ``NumericalError``, as in
     ``max_support_point``. The model's schedule, the axis varied here, is
     not read.
     """
     grid = tuple(sigma_grid) if sigma_grid is not None else default_sigma_grid()
     n = model.n_candidates
     _, peak, _ = _support_peaks(model, _rate_variances(grid, model.horizon), np.arange(1, n - 1))
-    for k in np.flatnonzero(np.isnan(peak).any(axis=0)) + 1:
-        # a zero prior's support is 0 at every signal, wherever its peak lies
-        if model.priors_arr[k] > 0.0 and not _one_sided(model, k):
-            raise _peak_out_of_range(model, k)
     values = np.tile(model.priors_arr > 0.0, (len(grid), 1)).astype(np.float64)
     values[:, 1:-1] = np.where(np.isnan(peak), values[:, 1:-1], peak)
     return SweepTable(

@@ -19,6 +19,7 @@ from voteflow import (
 )
 from voteflow.errors import (
     DegenerateSeriesWarning,
+    NonIncreasingPositions,
     TooFewObservations,
     Unattainable,
     ValidationError,
@@ -80,6 +81,17 @@ class TestPollSeries:
         data[field][-1] = np.nan
         with pytest.raises(ValidationError):
             PollSeries(**data)
+
+    @pytest.mark.parametrize("positions, message", [
+        ((1.0, 3.0, 2.0), "positions must be strictly increasing: (1.0, 3.0, 2.0)"),
+        ((1.0,), "need at least two candidates"),
+    ], ids=["out-of-order", "one-candidate"])
+    def test_positions_are_checked_by_the_models_rule(self, positions, message):
+        n = len(positions)
+        with pytest.raises(NonIncreasingPositions) as caught:
+            PollSeries(times=np.array([0.0, 0.5, 1.0]), supports=np.full((3, n), 1.0 / n),
+                       positions=np.array(positions))
+        assert str(caught.value) == message
 
     def test_row_sum_tolerance_allows_rounded_polls(self):
         supports = np.array([[0.5, 0.4999996], [0.6, 0.4000004], [0.5, 0.5]])

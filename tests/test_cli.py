@@ -94,6 +94,14 @@ class TestExitCodes:
         cfg = write_config(tmp_path, POLARISED_CONFIG)
         assert main(["sweep", "--config", cfg, "--axis", "positions"]) == 2
 
+    def test_prior_sweep_above_three_candidates_needs_a_prior_grid(self, capsys):
+        # no default simplex grid for five candidates, and the config gives none
+        cfg = str(CONFIG_DIR / "five_candidate_peak_support.json")
+        assert main(["sweep", "--config", cfg, "--axis", "priors"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: prior sweep for 5 candidates needs an explicit sweep.prior_grid")
+
     def test_unattainable_target_is_numerical_error(self, tmp_path, capsys):
         payload = dict(POLARISED_CONFIG)
         payload["target"] = {"candidate": "centre", "win_probability": 0.9}
@@ -190,6 +198,17 @@ class TestForecast:
         main(["forecast", "--config", cfg, "--out", str(out_a)])
         main(["forecast", "--config", cfg, "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["forecast", "deadzone"])
+    def test_piecewise_sigma_is_reported_as_its_schedule(self, tmp_path, capsys, command):
+        payload = polarised_payload()
+        payload["sigma"] = {"breakpoints": [0.5], "rates": [1.0, 2.0]}
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["sigma"] == payload["sigma"]
+        assert main([command, "--config", cfg, "--format", "csv"]) == 0
+        meta = capsys.readouterr().out.splitlines()
+        assert "# sigma=piecewise breakpoints=0.5 rates=1;2" in meta
 
     def test_csv_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, POLARISED_CONFIG)
@@ -456,6 +475,22 @@ class TestDeadzoneAndMaxSupport:
             cand["prior"] = prior
         assert main(["maxsupport", "--config", write_config(tmp_path, payload)]) == 4
         assert capsys.readouterr() == ("", want)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_maxsupport_zero_prior_centre_past_the_float_range_names_y_star(
+        self, tmp_path, capsys, fmt
+    ):
+        # the centre's support is 0 at every signal: its peak support is 0,
+        # but the signal of its root lies beyond the float range
+        payload = polarised_payload()
+        for cand, prior in zip(payload["candidates"], (0.6, 0.0, 0.4)):
+            cand["position"] *= 1e-310
+            cand["prior"] = prior
+        argv = ["maxsupport", "--config", write_config(tmp_path, payload), "--format", fmt]
+        assert main(argv) == 4
+        assert capsys.readouterr() == (
+            "", "error: maxsupport report: at_config_sigma.centre.y_star is nan\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_subnormal_centre_prior_gives_a_finite_bound(self, tmp_path, capsys, fmt):
@@ -780,6 +815,40 @@ class TestConfigRejections:
         cfg = write_config(tmp_path, {**POLARISED_CONFIG, **block})
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
         assert f"error: {cfg}.{field}: " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "change, argv, want",
+        [
+            pytest.param(lambda p: p.update(candidates=p["candidates"][:1]), ["forecast"],
+                         "invalid model parameters: need at least two candidates",
+                         id="one-candidate"),
+            pytest.param(lambda p: p.update(sweep={"sigma_grid": [-1.0]}), ["forecast"],
+                         "{cfg}.sweep.sigma_grid: rates must be finite and > 0, got -1.0",
+                         id="sigma-grid-negative"),
+            pytest.param(lambda p: p.update(sweep={"sigma_grid": [1.0, 1e200]}), ["forecast"],
+                         "{cfg}.sweep.sigma_grid: sigma rates (1e+200,) over horizon_years 1.0 "
+                         "give terminal variance inf", id="sigma-grid-overflow"),
+            pytest.param(lambda p: p.update(sweep={"prior_grid_step": 2}), ["forecast"],
+                         "{cfg}.sweep.prior_grid_step: step 2.0 must divide 1", id="step-2"),
+            pytest.param(lambda p: p.update(sweep={"prior_grid_step": 0}), ["forecast"],
+                         "{cfg}.sweep.prior_grid_step: step 0.0 must divide 1", id="step-0"),
+            pytest.param(lambda p: None, ["simulate", "--seed", "-1"],
+                         "--seed: seed must be an integer >= 0, got -1", id="seed"),
+        ],
+    )
+    def test_rule_the_library_owns_is_reported_at_its_field(
+        self, tmp_path, capsys, change, argv, want
+    ):
+        # one copy of each rule, the library's; the CLI says where the value came from
+        payload = polarised_payload()
+        payload["simulation"] = {"n_paths": 2, "n_steps": 10, "seed": 1}
+        change(payload)
+        cfg = write_config(tmp_path, payload)
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: " + want.format(cfg=cfg))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

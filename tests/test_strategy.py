@@ -1,5 +1,7 @@
 """Dead zones, the rate bound, peak support, and parameter sweeps."""
 
+import dataclasses
+import json
 import math
 import re
 from pathlib import Path
@@ -155,6 +157,13 @@ class TestDeadZone:
         assert dead_seen > 20 and alive_seen > 20
 
 
+    def test_reports_hold_the_index_as_an_int(self, polarised_model):
+        # a numpy index is stored as the int it stands for, so reports serialise
+        for report in (is_dead_zone(polarised_model, np.int64(1)),
+                       max_support_point(polarised_model, np.int64(1))):
+            assert type(report.candidate) is int
+            json.dumps(dataclasses.asdict(report))
+
     def test_centre_bound_is_read_from_the_callers_model(self, polarised_model, built_models):
         report = is_dead_zone(polarised_model, 1)
         assert report.sigma_bound == pytest.approx(ORACLE_BOUND_POLARISED, abs=1e-8)
@@ -307,6 +316,29 @@ class TestMaxSupport:
         # a zero-prior centre's support is 0 wherever its peak would lie
         dead = ElectionModel(far.positions, (0.6, 0.0, 0.4), 1.0, 1.0)
         np.testing.assert_array_equal(max_support_curve(dead, grid).values[:, 1], 0.0)
+
+    @pytest.mark.parametrize("priors", [(0.38, 0.26, 0.36), (0.6, 0.0, 0.4)],
+                             ids=["supported", "zero-prior"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-308, 1e-310])
+    def test_point_and_curve_give_one_verdict(self, priors, scale):
+        # the same peak, or the same error, from the point and the curve;
+        # a zero-prior centre peaks at 0 wherever its root lies
+        model = ElectionModel(tuple(scale * x for x in (1.0, 2.0, 3.0)), priors, 1.0, 1.0)
+        try:
+            point = max_support_point(model, 1).pi_max
+        except NumericalError as error:
+            with pytest.raises(NumericalError, match=re.escape(str(error))):
+                max_support_curve(model, [1.0])
+            assert priors[1] > 0.0
+        else:
+            assert point == max_support_curve(model, [1.0]).values[0, 1]
+            assert point > 0.0 or priors[1] == 0.0
+
+    def test_zero_prior_root_past_the_float_range(self):
+        model = ElectionModel((1e-310, 2e-310, 3e-310), (0.6, 0.0, 0.4), 1.0, 1.0)
+        report = max_support_point(model, 1)
+        assert report.pi_max == 0.0
+        assert math.isnan(report.y_star) and math.isnan(report.residual)
 
     def test_five_candidate_equal_prior_curve(self):
         # interior peaks below 1, rising with the information rate

@@ -2,7 +2,7 @@
 
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 26
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 30
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
 axes, simulate with and without ``--seed 7``, calibrate, calibrate
 ``--data`` on a fixed 201-row poll CSV, on a constant 5-row one and on one
@@ -12,9 +12,11 @@ prior, forecast and deadzone on a zero-first config: the first candidate's
 prior moved onto the second, forecast, deadzone, maxsupport and calibrate
 ``--data`` (the fixed poll CSV) on a near config: every position times
 1e-160, simulate and calibrate ``--data`` on a far config: every
-position times 1e200, and aggregate and calibrate ``--data`` on a bad-race
-config: the first two positions swapped) on each config in ``configs/``, in
-both formats, once to stdout and once to ``--out``: 624 runs. The poll CSVs and derived
+position times 1e200, aggregate and calibrate ``--data`` on a bad-race
+config: the first two positions swapped, and forecast, deadzone, maxsupport
+and the sigma sweep on a piecewise config: the rate doubled at half the
+horizon) on each config in ``configs/``, in both formats, once to stdout
+and once to ``--out``: 720 runs. The poll CSVs and derived
 configs are written to ``OUT_DIR/polls/``. Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
 ``stdout``, ``stderr`` (with SRC_DIR written as ``<src>``), ``exit_code``
@@ -104,6 +106,11 @@ INVOCATIONS = {
     "calibrate-data-bad-race": ["calibrate", "--data", "polls/{stem}.csv",
                                 "--config", "polls/{stem}-bad-race.json"],
 }
+# no bundled config has a piecewise schedule
+INVOCATIONS.update({
+    f"{name}-piecewise": [*INVOCATIONS[name], "--config", "polls/{stem}-piecewise.json"]
+    for name in ("forecast", "deadzone", "maxsupport", "sweep-sigma")
+})
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -176,6 +183,14 @@ def write_bad_race(config: dict, stem: str, polls: Path) -> None:
     (polls / f"{stem}-bad-race.json").write_text(text + "\n", encoding="utf-8")
 
 
+def write_piecewise(config: dict, stem: str, polls: Path) -> None:
+    """The config with its constant rate doubled at half the horizon."""
+    horizon, sigma = config["horizon_years"], config["sigma"]
+    schedule = {"breakpoints": [horizon / 2], "rates": [sigma, 2 * sigma]}
+    text = json.dumps({**config, "sigma": schedule}, indent=2)
+    (polls / f"{stem}-piecewise.json").write_text(text + "\n", encoding="utf-8")
+
+
 def run_one(src: Path, out_dir: Path, stem: str, name: str, fmt: str, dest: str) -> None:
     run_dir = Path(stem) / name / f"{fmt}-{dest}"
     (out_dir / run_dir).mkdir(parents=True, exist_ok=True)
@@ -210,6 +225,7 @@ def record(src: Path, out_dir: Path) -> int:
         write_zero_first(config, stem, out_dir / "polls")
         write_scaled(config, stem, out_dir / "polls")
         write_bad_race(config, stem, out_dir / "polls")
+        write_piecewise(config, stem, out_dir / "polls")
     runs = [
         (stem, name, fmt, dest)
         for stem in stems
