@@ -42,7 +42,8 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .model import ElectionModel, InfoSchedule, _rate_variances
+from . import strategy
+from .model import ElectionModel, InfoSchedule, _priors, _rate_variances
 from .outcomes import win_probabilities
 from .simulation import simulate_paths, winprob_paths
 from .strategy import (
@@ -86,7 +87,6 @@ class ScenarioConfig:
     model: ElectionModel
     sigma_grid: Optional[tuple[float, ...]] = None
     prior_grid: Optional[tuple[tuple[float, ...], ...]] = None
-    prior_grid_step: Optional[float] = None
     position_variants: Optional[tuple[tuple[float, ...], ...]] = None
     simulation: Optional[dict] = None
     sources: Optional[dict] = None
@@ -193,7 +193,6 @@ def load_config(path: str) -> ScenarioConfig:
         model = ElectionModel(positions, priors, horizon, schedule)
 
     sigma_grid = prior_grid = position_variants = None
-    prior_grid_step = None
     sweep = raw.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
@@ -211,13 +210,17 @@ def load_config(path: str) -> ScenarioConfig:
                 raise ConfigError(f"{path}.sweep.prior_grid: expected at least one vector")
             if "prior_grid_step" in sweep:
                 raise ConfigError(f"{path}.sweep: give prior_grid or prior_grid_step, not both")
+            for i, row in enumerate(prior_grid):
+                with _field(f"{path}.sweep.prior_grid[{i}]"):
+                    _priors(row, len(names))
         if "prior_grid_step" in sweep:
-            ctx = f"{path}.sweep.prior_grid_step"
-            step = prior_grid_step = _require(sweep, "prior_grid_step", float, f"{path}.sweep")
-            with _field(ctx):
+            step = _require(sweep, "prior_grid_step", float, f"{path}.sweep")
+            with _field(f"{path}.sweep.prior_grid_step"):
                 points = math.comb(_simplex_cells(step) + len(names) - 1, len(names) - 1)
-            if points > MAX_PRIOR_GRID_POINTS:
-                raise ConfigError(f"{ctx}: {points} grid points exceed {MAX_PRIOR_GRID_POINTS}")
+                if points > MAX_PRIOR_GRID_POINTS:
+                    raise ConfigError(f"{points} grid points exceed {MAX_PRIOR_GRID_POINTS}")
+                # built once its size is known; looked up as it runs, so a test can refuse it
+                prior_grid = strategy.simplex_grid(len(names), step)
         if "position_variants" in sweep:
             position_variants = _vectors(
                 sweep["position_variants"], f"{path}.sweep.position_variants"
@@ -266,7 +269,6 @@ def load_config(path: str) -> ScenarioConfig:
         model=model,
         sigma_grid=sigma_grid,
         prior_grid=prior_grid,
-        prior_grid_step=prior_grid_step,
         position_variants=position_variants,
         simulation=simulation,
         sources=sources,
@@ -480,16 +482,11 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
             table = sweep_sigma(model, cfg.sigma_grid)
         axis_columns = ["sigma"]
     elif args.axis == "priors":
-        try:
-            table = sweep_priors(model, cfg.prior_grid, cfg.prior_grid_step)
+        try:  # the config's grid was checked as it was read; only the default can fail
+            table = sweep_priors(model, cfg.prior_grid)
         except ValidationError as exc:
-            if cfg.prior_grid is None:
-                raise MissingSweepBlock(
-                    f"prior sweep for {len(cfg.names)} candidates needs an explicit "
-                    f"sweep.prior_grid ({exc})"
-                ) from exc
-            with _field(f"{args.config}.sweep.prior_grid"):
-                raise
+            need = f"prior sweep for {len(cfg.names)} candidates needs an explicit sweep.prior_grid"
+            raise MissingSweepBlock(f"{need} ({exc})") from exc
         axis_columns = [f"p{i + 1}" for i in range(len(cfg.names))]
     else:  # positions
         if not cfg.position_variants:

@@ -164,7 +164,10 @@ def _priors(values, n: int) -> tuple[float, ...]:
         raise PriorsNotNormalized(f"{len(raw_priors)} priors for {n} positions")
     if any((v < 0.0) or not math.isfinite(v) for v in raw_priors):
         raise PriorsNotNormalized(f"priors must be finite and >= 0: {raw_priors}")
-    total = math.fsum(raw_priors)
+    try:
+        total = math.fsum(raw_priors)
+    except OverflowError:  # finite priors whose sum passes the float range
+        total = math.inf
     if abs(total - 1.0) > PRIOR_SUM_TOLERANCE:
         raise PriorsNotNormalized(f"priors sum to {total!r}, not 1")
     return tuple(v / total for v in raw_priors)

@@ -371,7 +371,9 @@ def simplex_grid(
 
     Two candidates: p0 runs over {0, step, ..., 1}. Three candidates: all
     (p0, p1) with p0 + p1 <= 1 on the step lattice, p2 the remainder. The
-    step defaults to 0.01.
+    step must divide 1 and defaults to 0.01. ``sweep_priors`` sweeps this grid
+    when given no points; the CLI builds a config's ``sweep.prior_grid_step``
+    grid with it.
     """
     cells = _simplex_cells(0.01 if step is None else step)
     if n_candidates == 2:
@@ -398,21 +400,17 @@ def _simplex_cells(step: float) -> int:
 def sweep_priors(
     model: ElectionModel,
     prior_points: Optional[Sequence[Sequence[float]]] = None,
-    step: Optional[float] = None,
 ) -> SweepTable:
     """Win probabilities per candidate over a grid of current support rates.
 
     ``prior_points`` are full prior vectors, each checked as a model's
-    priors; by default a regular simplex grid of the given step (two or
-    three candidates; ``simplex_grid``'s default step when None). Passing
-    both is rejected. Entries are exactly zero where the candidate is locked
+    priors; when None, ``simplex_grid`` at its default step (two or three
+    candidates). Entries are exactly zero where the candidate is locked
     out. The model's priors, the axis varied here, are not read.
     """
     n = model.n_candidates
-    if prior_points is not None and step is not None:
-        raise ValidationError("pass prior points or a simplex step, not both")
     if prior_points is None:
-        prior_points = simplex_grid(n, step)
+        prior_points = simplex_grid(n)
     points = tuple(tuple(float(p) for p in pt) for pt in prior_points)
     priors = np.reshape([_priors(p, n) for p in points], (-1, n))
     return SweepTable(

@@ -529,6 +529,28 @@ class TestAggregate:
         cfg = write_config(tmp_path, POLARISED_CONFIG)
         assert main(["aggregate", "--config", cfg]) == 2
 
+    def test_sigma_scales_with_the_rates_up_to_the_float_range(self, tmp_path, capsys):
+        # the quadratic form is taken in units of a power of two, so it does
+        # not overflow where sigma (about 1.09e200 here) does not
+        payload = json.loads((CONFIG_DIR / "correlated_sources.json").read_text(encoding="utf-8"))
+        sigmas = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1.0, 2.0**-600):
+                payload["sources"]["rates"] = [r * scale for r in (1e200, 0.5, 0.3)]
+                assert main(["aggregate", "--config", write_config(tmp_path, payload)]) == 0
+                sigmas.append(json.loads(capsys.readouterr().out)["effective_sigma"])
+        assert sigmas[0] == math.ldexp(sigmas[1], 600)
+        assert sigmas[0] == pytest.approx(1.0910894511799619e200, rel=1e-15)
+
+    def test_overflowing_sigma_exits_4_quietly(self, tmp_path, capsys):
+        payload = json.loads((CONFIG_DIR / "correlated_sources.json").read_text(encoding="utf-8"))
+        payload["sources"]["rates"][0] = 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["aggregate", "--config", write_config(tmp_path, payload)]) == 4
+        assert capsys.readouterr() == ("", "error: aggregate report: effective_sigma is inf\n")
+
 
 class TestCalibrate:
     def write_series_csv(self, tmp_path, sigma=1.0, n_steps=10_000):
@@ -700,6 +722,38 @@ class TestConfigRejections:
         err = capsys.readouterr().err
         assert ".sweep.prior_grid_step: " in err and message in err
 
+    @pytest.mark.parametrize(
+        "stem, change, argv, field",
+        [
+            pytest.param("five_candidate_peak_support",
+                         lambda p: p.update(sweep={"prior_grid_step": 0.5}), ["forecast"],
+                         ".sweep.prior_grid_step: ", id="step-five-candidates-forecast"),
+            pytest.param("five_candidate_peak_support",
+                         lambda p: p.update(sweep={"prior_grid_step": 0.5}),
+                         ["sweep", "--axis", "priors"],
+                         ".sweep.prior_grid_step: ", id="step-five-candidates-sweep"),
+            pytest.param("polarised_three_way",
+                         lambda p: p.update(sweep={"prior_grid": [[0.2, 0.3, 0.5], [0.5, 0.6, 0.1]]}),
+                         ["forecast"], ".sweep.prior_grid[1]: priors sum to ", id="second-row"),
+            pytest.param("polarised_three_way",
+                         lambda p: [c.update(prior=1e308) for c in p["candidates"]], ["forecast"],
+                         "invalid model parameters: priors sum to inf, not 1", id="priors-1e308"),
+        ],
+    )
+    def test_prior_inputs_are_checked_when_the_config_is_read(
+        self, tmp_path, capsys, stem, change, argv, field
+    ):
+        # a prior grid, from its step or its rows, and the race's priors are
+        # checked as the config is read: exit 2 under every subcommand, with
+        # one line that names the field
+        payload = json.loads((CONFIG_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+        change(payload)
+        cfg = write_config(tmp_path, payload)
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and field in err, err
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
     @pytest.mark.parametrize(
         "field, place",
@@ -798,7 +852,7 @@ class TestConfigRejections:
         "block, argv, field",
         [
             ({"sweep": {"prior_grid": [[0.5, 0.5]]}}, ["sweep", "--axis", "priors"],
-             "sweep.prior_grid"),
+             "sweep.prior_grid[0]"),
             ({"sweep": {"position_variants": [[3.0, 2.0, 1.0]]}}, ["sweep", "--axis", "positions"],
              "sweep.position_variants"),
             ({"target": {"candidate": "left", "win_probability": 1.5}}, ["calibrate"],

@@ -53,6 +53,10 @@ class TestConstruction:
         with pytest.raises(PriorsNotNormalized, match="sum to 1.1,"):
             ElectionModel((0.0, 1.0), (0.5, 0.6), 1.0, 1.0)
 
+    def test_priors_summing_past_the_float_range_rejected(self):
+        with pytest.raises(PriorsNotNormalized, match="sum to inf,"):
+            ElectionModel((0.0, 1.0), (1e308, 1e308), 1.0, 1.0)
+
     def test_negative_prior_rejected(self):
         with pytest.raises(PriorsNotNormalized):
             ElectionModel((0.0, 1.0), (-0.1, 1.1), 1.0, 1.0)

@@ -510,15 +510,17 @@ class TestSweepPriors:
         np.testing.assert_allclose(table.values[0], (1.0, 0.0, 0.0), atol=1e-12)
 
     def test_rows_sum_to_one(self):
-        table = sweep_priors(polarised(), step=0.2)
+        table = sweep_priors(polarised(), simplex_grid(3, 0.2))
         np.testing.assert_allclose(table.values.sum(axis=1), 1.0, atol=1e-10)
 
     def test_centre_zero_region_nonempty(self):
-        table = sweep_priors(polarised(), step=0.05)
+        table = sweep_priors(polarised(), simplex_grid(3, 0.05))
         assert (table.values[:, 1] == 0.0).any()
 
     def test_two_candidate_grid(self):
-        table = sweep_priors(ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0 / 52.0, 1.2), step=0.25)
+        table = sweep_priors(
+            ElectionModel((0.0, 1.0), (0.55, 0.45), 1.0 / 52.0, 1.2), simplex_grid(2, 0.25)
+        )
         assert len(table.axis_values) == 5
         assert table.axis_values[0] == (0.0, 1.0)
         assert table.values[2, 0] == pytest.approx(0.5, abs=1e-12)
@@ -530,11 +532,7 @@ class TestSweepPriors:
     @pytest.mark.parametrize("step", [0.0, -0.25, math.nan, 0.3])
     def test_step_must_divide_one(self, step):
         with pytest.raises(ValidationError, match="must divide 1"):
-            sweep_priors(polarised(), step=step)
-
-    def test_prior_points_and_step_are_not_both_taken(self):
-        with pytest.raises(ValidationError, match="not both"):
-            sweep_priors(polarised(), [(0.2, 0.3, 0.5)], step=0.3)
+            sweep_priors(polarised(), simplex_grid(3, step))
 
 
 def polarised():
@@ -605,7 +603,7 @@ def test_batch_paths_reject_a_bad_axis_entry(evaluate, error, shown):
 RACE_ANALYSES = {
     "dead-zone-bound": (dead_zone_sigma_bound, "schedule"),
     "max-support-curve": (lambda m: max_support_curve(m, (0.5, 1.0, 2.0)).values, "schedule"),
-    "sweep-priors": (lambda m: sweep_priors(m, step=0.25).values, "priors"),
+    "sweep-priors": (lambda m: sweep_priors(m, simplex_grid(3, 0.25)).values, "priors"),
     "implied-sigma": (lambda m: implied_sigma(m, 2, 0.45), "schedule"),
 }
 

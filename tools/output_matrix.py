@@ -1,6 +1,7 @@
 """Record every CLI output on every bundled config, for diffing two checkouts.
 
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
+    python tools/output_matrix.py SRC_DIR OUT_DIR --digests FILE
 
 Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 30
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
@@ -28,11 +29,23 @@ do, and ``diff -r`` compares them.
 the largest absolute difference between corresponding numbers, or
 "text differs" when more than numbers changed; it exits 1 if any differs.
 Uses only the standard library, so it runs whatever the checkout holds.
+
+``--digests`` runs only the stdout runs (360), in this process through
+``voteflow.cli.main`` imported from SRC_DIR, with RuntimeWarnings raised as
+errors, and writes FILE: one line per run with its exit code (or the class
+of the exception that escaped) and the SHA-256 of that code and its stdout,
+under a header that records the Python and numpy versions. The inputs are
+written to OUT_DIR as above. ``tests/test_output_digests.py`` makes the
+same runs and compares them with ``tests/output_digests.txt``; a change
+that moves an output on purpose regenerates that file, so its diff names
+the moved runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import math
 import os
@@ -41,6 +54,8 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -111,6 +126,8 @@ INVOCATIONS.update({
     f"{name}-piecewise": [*INVOCATIONS[name], "--config", "polls/{stem}-piecewise.json"]
     for name in ("forecast", "deadzone", "maxsupport", "sweep-sigma")
 })
+
+FORMATS = ("json", "csv")
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -191,13 +208,18 @@ def write_piecewise(config: dict, stem: str, polls: Path) -> None:
     (polls / f"{stem}-piecewise.json").write_text(text + "\n", encoding="utf-8")
 
 
-def run_one(src: Path, out_dir: Path, stem: str, name: str, fmt: str, dest: str) -> None:
-    run_dir = Path(stem) / name / f"{fmt}-{dest}"
-    (out_dir / run_dir).mkdir(parents=True, exist_ok=True)
+def arguments(stem: str, name: str, fmt: str) -> list[str]:
+    """The CLI arguments of one run to stdout, with paths relative to OUT_DIR."""
     argv = [a.format(stem=stem) for a in INVOCATIONS[name]]
     if "--config" not in argv:
         argv += ["--config", f"configs/{stem}.json"]
-    argv += ["--format", fmt]
+    return argv + ["--format", fmt]
+
+
+def run_one(src: Path, out_dir: Path, stem: str, name: str, fmt: str, dest: str) -> None:
+    run_dir = Path(stem) / name / f"{fmt}-{dest}"
+    (out_dir / run_dir).mkdir(parents=True, exist_ok=True)
+    argv = arguments(stem, name, fmt)
     if dest == "out":
         argv += ["--out", str(run_dir / f"report.{fmt}")]
     proc = subprocess.run(
@@ -213,7 +235,9 @@ def run_one(src: Path, out_dir: Path, stem: str, name: str, fmt: str, dest: str)
     (out_dir / run_dir / "exit_code").write_text(f"{proc.returncode}\n", encoding="utf-8")
 
 
-def record(src: Path, out_dir: Path) -> int:
+def write_inputs(out_dir: Path) -> list[str]:
+    """Copy the bundled configs to OUT_DIR and derive every poll CSV and
+    config the runs read; the config stems, sorted."""
     shutil.copytree(CONFIG_DIR, out_dir / "configs", dirs_exist_ok=True)
     (out_dir / "polls").mkdir(parents=True, exist_ok=True)
     stems = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
@@ -226,16 +250,60 @@ def record(src: Path, out_dir: Path) -> int:
         write_scaled(config, stem, out_dir / "polls")
         write_bad_race(config, stem, out_dir / "polls")
         write_piecewise(config, stem, out_dir / "polls")
+    return stems
+
+
+def record(src: Path, out_dir: Path) -> int:
     runs = [
         (stem, name, fmt, dest)
-        for stem in stems
+        for stem in write_inputs(out_dir)
         for name in INVOCATIONS
-        for fmt in ("json", "csv")
+        for fmt in FORMATS
         for dest in ("stdout", "out")
     ]
     for run in runs:
         run_one(src, out_dir, *run)
     return len(runs)
+
+
+def digest(main, argv: list[str]) -> str:
+    """'<exit> <sha256>' of one in-process run: the exit code, or the class
+    of the exception that escaped ``main``, and the SHA-256 of that code,
+    a newline and the run's stdout."""
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except Exception as exc:  # a traceback in a fresh process: recorded, not raised
+            code = type(exc).__name__
+    text = f"{code}\n" + stdout.getvalue()
+    return f"{code} {hashlib.sha256(text.encode('utf-8')).hexdigest()}"
+
+
+def digests(main, out_dir: Path) -> list[str]:
+    """The digest file's lines: a header, then '<stem>/<invocation>/<format>
+    <exit> <sha256>' for every run to stdout, made by ``main`` (the CLI's
+    entry point) in OUT_DIR, where ``write_inputs`` puts what they read."""
+    import numpy
+
+    stems = write_inputs(out_dir)
+    lines = [
+        "# exit code and SHA-256 of (exit code, stdout) of each stdout run of",
+        "# tools/output_matrix.py, made in process; regenerate with",
+        "#   python tools/output_matrix.py src OUT_DIR --digests tests/output_digests.txt",
+        f"# python {'.'.join(map(str, sys.version_info[:3]))}, numpy {numpy.__version__}",
+    ]
+    cwd = os.getcwd()
+    os.chdir(out_dir)
+    try:
+        for stem in stems:
+            for name in INVOCATIONS:
+                for fmt in FORMATS:
+                    lines.append(f"{stem}/{name}/{fmt} {digest(main, arguments(stem, name, fmt))}")
+    finally:
+        os.chdir(cwd)
+    return lines
 
 
 def difference(a: str, b: str) -> str:
@@ -271,8 +339,18 @@ def main() -> int:
     parser.add_argument("src", type=Path, help="a checkout's src directory")
     parser.add_argument("out", type=Path, help="directory to record the outputs in")
     parser.add_argument("--compare", type=Path, default=None, help="another OUT_DIR to diff with")
+    parser.add_argument("--digests", type=Path, default=None,
+                        help="write the stdout runs' digests to this file instead")
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
+    if args.digests is not None:
+        sys.path.insert(0, str(args.src.resolve()))
+        import voteflow.cli
+
+        lines = digests(voteflow.cli.main, args.out.resolve())
+        args.digests.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"wrote {len(lines) - 4} digests to {args.digests}")
+        return 0
     count = record(args.src.resolve(), args.out.resolve())
     print(f"recorded {count} runs in {args.out}")
     return compare(args.out, args.compare) if args.compare is not None else 0
