@@ -133,12 +133,12 @@ def aggregate_n(sources: SourceSet) -> EffectiveChannel:
     sigma_eff. Reduces exactly to ``aggregate_two`` for two sources and to
     addition in quadrature for uncorrelated ones.
     """
-    # in units of a power of two near the largest rate, which is exact, so the
-    # quadratic form cannot overflow; only sigma itself can, to inf
-    unit = math.ldexp(1.0, math.frexp(float(sources.rates.max()))[1] - 1)
-    rates = sources.rates / unit
-    precision_rates = np.linalg.solve(sources.correlation, rates)
-    sigma = math.sqrt(max(float(rates @ precision_rates), 0.0))
+    rates = sources.rates
+    corr = sources.correlation
+    precision_rates = np.linalg.solve(corr, rates)
+    with np.errstate(over="ignore"):  # an overflow reads inf, which the report gate names
+        sigma_sq = float(rates @ precision_rates)
+    sigma = math.sqrt(max(sigma_sq, 0.0))
     if sigma == 0.0:
         return EffectiveChannel(sigma=0.0, noise_weights=np.zeros(sources.n_sources))
-    return EffectiveChannel(sigma=unit * sigma, noise_weights=precision_rates / sigma)
+    return EffectiveChannel(sigma=sigma, noise_weights=precision_rates / sigma)
