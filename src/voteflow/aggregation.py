@@ -115,8 +115,8 @@ def aggregate_two(sigma1: float, sigma2: float, rho: float) -> EffectiveChannel:
     """
     if not (abs(rho) < 1.0):
         raise PerfectCorrelation(f"need |rho| < 1, got {rho}")
-    if sigma1 < 0.0 or sigma2 < 0.0:
-        raise ValidationError(f"rates must be >= 0: ({sigma1}, {sigma2})")
+    if not (0.0 <= sigma1 < math.inf and 0.0 <= sigma2 < math.inf):
+        raise ValidationError(f"rates must be finite and >= 0: ({sigma1}, {sigma2})")
     one_minus = 1.0 - rho * rho
     sigma_sq = (sigma1 * sigma1 + sigma2 * sigma2 - 2.0 * rho * sigma1 * sigma2) / one_minus
     sigma = math.sqrt(max(sigma_sq, 0.0))
@@ -133,12 +133,13 @@ def aggregate_n(sources: SourceSet) -> EffectiveChannel:
     sigma_eff. Reduces exactly to ``aggregate_two`` for two sources and to
     addition in quadrature for uncorrelated ones.
     """
-    rates = sources.rates
-    corr = sources.correlation
-    precision_rates = np.linalg.solve(corr, rates)
-    with np.errstate(over="ignore"):  # an overflow reads inf, which the report gate names
-        sigma_sq = float(rates @ precision_rates)
-    sigma = math.sqrt(max(sigma_sq, 0.0))
+    # in units of 2^(e-1), which put the largest rate in [1, 2): exact short of
+    # subnormals, and the quadratic form neither overflows nor underflows to 0
+    unit = 2.0 ** (math.frexp(float(np.max(sources.rates)))[1] - 1)
+    rates = sources.rates / unit
+    precision_rates = np.linalg.solve(sources.correlation, rates)
+    sigma = math.sqrt(max(float(rates @ precision_rates), 0.0))
     if sigma == 0.0:
         return EffectiveChannel(sigma=0.0, noise_weights=np.zeros(sources.n_sources))
-    return EffectiveChannel(sigma=sigma, noise_weights=precision_rates / sigma)
+    # a float product: an overflow reads inf, with no warning, and the report gate names it
+    return EffectiveChannel(sigma=sigma * unit, noise_weights=precision_rates / sigma)

@@ -97,11 +97,6 @@ class InfoSchedule:
     def is_constant(self) -> bool:
         return len(self.rates) == 1
 
-    def rates_at(self, times: np.ndarray) -> np.ndarray:
-        """Rate of the segment containing each time (right-continuous)."""
-        idx = np.searchsorted(np.asarray(self.breakpoints), np.asarray(times), side="right")
-        return np.asarray(self.rates)[idx]
-
     def variance(self, t0: float, t1: float) -> float:
         """Accumulated squared rate over [t0, t1]: sum of rate_i^2 * overlap."""
         edges = (0.0,) + self.breakpoints + (math.inf,)

@@ -261,10 +261,10 @@ def two_candidate_win_probability(p: float, sigma: float, horizon: float) -> flo
     """
     if not (0.0 < p < 1.0):
         raise DegeneratePrior(f"need 0 < p < 1, got {p}")
-    if not (sigma > 0.0):
-        raise NonPositiveRate(f"need sigma > 0, got {sigma}")
-    if not (horizon > 0.0):
-        raise NonPositiveHorizon(f"need horizon > 0, got {horizon}")
+    if not (0.0 < sigma < math.inf):
+        raise NonPositiveRate(f"sigma must be finite and > 0, got {sigma}")
+    if not (0.0 < horizon < math.inf):
+        raise NonPositiveHorizon(f"horizon must be finite and > 0, got {horizon}")
     log_odds = math.log(p / (1.0 - p))
     scale = sigma * math.sqrt(horizon)
     half_var = 0.5 * sigma * sigma * horizon

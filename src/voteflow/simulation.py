@@ -1,10 +1,11 @@
 """Seeded Monte Carlo engine for information paths and outcome tallies.
 
 Full path simulation draws the latent candidate label from the priors, then
-advances the accumulated signal with the Euler step
+advances the accumulated signal with the exact step
 
-    Y_{t+dt} = Y_t + rate_t^2 * x * dt + rate_t * sqrt(dt) * Z,
+    Y_{t1} = Y_{t0} + x * V(t0, t1) + sqrt(V(t0, t1)) * Z,
 
+free of discretization error at grid times for any schedule, and
 evaluating support rates pathwise from the exact filter formula (never an
 SDE discretization of the filter itself). The outcome tally needs only the
 terminal signal, whose law given the label is exactly Gaussian, so it draws
@@ -157,6 +158,9 @@ def simulate_paths(
 ) -> PathEnsemble:
     """Simulate accumulated-signal paths under the physical measure.
 
+    Each step's increment is drawn from its exact law given the label,
+    Normal(x V(t0, t1), V(t0, t1)), with V the schedule's variance over the
+    step, so a step that straddles a breakpoint is as exact as any other.
     Deterministic for a fixed seed. The labels are one draw of n_paths from
     the priors, from the stream of (seed, 0); the standard normals are one
     [n_paths, n_steps] draw, row by row, from the stream of (seed, 1). Each
@@ -168,14 +172,12 @@ def simulate_paths(
     horizon = model.horizon
     dt = horizon / n_steps
     times = np.linspace(0.0, horizon, n_steps + 1)
-    rates = model.schedule.rates_at(times[:-1])
-    drift_unit = rates * rates * dt
-    noise_unit = rates * math.sqrt(dt)
+    dv = _schedule_variances(model.schedule, times[:-1], times[1:])
 
     latent = _path_rng(seed, 0).choice(model.n_candidates, size=n_paths, p=model.priors_arr)
     z = _path_rng(seed, 1).standard_normal((n_paths, n_steps))
     signals = np.zeros((n_paths, n_steps + 1))
-    increments = drift_unit * model.positions_arr[latent, None] + noise_unit * z
+    increments = dv * model.positions_arr[latent, None] + np.sqrt(dv) * z
     np.cumsum(increments, axis=1, out=signals[:, 1:])
     return PathEnsemble(
         model=model,

@@ -44,6 +44,13 @@ class TestAggregateTwo:
         with pytest.raises(ValidationError):
             aggregate_two(-1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rate_that_is_not_finite_rejected(self, rate):
+        # an infinite or NaN rate would read sigma nan with nan weights
+        for pair in ((rate, 1.0), (1.0, rate)):
+            with pytest.raises(ValidationError, match="finite and >= 0"):
+                aggregate_two(*pair, 0.2)
+
     def test_all_zero_rates_give_silent_channel(self):
         channel = aggregate_two(0.0, 0.0, 0.3)
         assert channel.sigma == 0.0
@@ -110,6 +117,17 @@ class TestAggregateN:
                 assert sigma_up > channel.sigma
                 checked += 1
         assert checked > 50
+
+    @pytest.mark.parametrize("k", [-1000, -7, 1, 600, 900])
+    def test_power_of_two_rates_scale_sigma_alone(self, k):
+        # sigma is homogeneous of degree 1 in the rates and the weights of
+        # degree 0; a power of two scales every step exactly
+        rng = np.random.default_rng(k + 2000)
+        sources = SourceSet(rng.uniform(0.1, 3.0, size=4), random_spd_correlation(rng, 4))
+        scaled = SourceSet(sources.rates * 2.0**k, sources.correlation)
+        channel, moved = aggregate_n(sources), aggregate_n(scaled)
+        assert moved.sigma == math.ldexp(channel.sigma, k)
+        np.testing.assert_array_equal(moved.noise_weights, channel.noise_weights)
 
     def test_not_positive_definite_rejected(self):
         corr = np.array(

@@ -529,9 +529,18 @@ class TestAggregate:
         cfg = write_config(tmp_path, POLARISED_CONFIG)
         assert main(["aggregate", "--config", cfg]) == 2
 
-    def test_overflowing_sigma_exits_4_quietly(self, tmp_path, capsys):
+    def test_a_rate_past_the_square_root_of_the_float_range_is_finite(self, tmp_path, capsys):
+        # 1e200 squared overflows; the effective rate does not
         payload = json.loads((CONFIG_DIR / "correlated_sources.json").read_text(encoding="utf-8"))
         payload["sources"]["rates"][0] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["aggregate", "--config", write_config(tmp_path, payload)]) == 0
+        assert json.loads(capsys.readouterr().out)["effective_sigma"] == 1.0910894511799619e200
+
+    def test_overflowing_sigma_exits_4_quietly(self, tmp_path, capsys):
+        payload = json.loads((CONFIG_DIR / "correlated_sources.json").read_text(encoding="utf-8"))
+        payload["sources"]["rates"] = [1.5e308] * 3
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["aggregate", "--config", write_config(tmp_path, payload)]) == 4

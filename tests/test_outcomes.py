@@ -26,6 +26,8 @@ from voteflow.errors import (
     DegeneratePrior,
     InvalidInterval,
     InvalidPermutation,
+    NonPositiveHorizon,
+    NonPositiveRate,
     NotInteriorCandidate,
     ValidationError,
 )
@@ -456,6 +458,14 @@ class TestTwoCandidateFormula:
         for p in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(DegeneratePrior):
                 two_candidate_win_probability(p, 1.0, 1.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rate_or_horizon_that_is_not_finite_rejected(self, value):
+        # an infinite rate or horizon would read nan
+        with pytest.raises(NonPositiveRate, match="finite and > 0"):
+            two_candidate_win_probability(0.6, value, 1.0)
+        with pytest.raises(NonPositiveHorizon, match="finite and > 0"):
+            two_candidate_win_probability(0.6, 1.0, value)
 
     def test_agrees_with_general_engine(self):
         rng = np.random.default_rng(16)

@@ -93,15 +93,26 @@ class TestSimulatePaths:
         model = ElectionModel(POLARISED_X, POLARISED_P, 1.0, sched)
         n_paths, n_steps = 200, 64
         ensemble = simulate_paths(model, n_paths, n_steps, seed=31)
-        dt = ensemble.dt
-        rates = sched.rates_at(ensemble.times[:-1])
-        drift = rates**2 * dt
+        times = ensemble.times
+        # each step's exact variance, which is also its drift per unit position
+        dv = np.array([float(mp_variance(sched, a, b)) for a, b in zip(times, times[1:])])
         x = model.positions_arr[ensemble.latent][:, None]
-        noise = np.diff(ensemble.signal_paths, axis=1) - drift[None, :] * x
+        noise = np.diff(ensemble.signal_paths, axis=1) - dv[None, :] * x
         total = float(np.sum(noise**2))
-        expected = n_paths * float(np.sum(rates**2 * dt))
-        se = math.sqrt(2.0 * n_paths * float(np.sum(rates**4 * dt**2)))
+        expected = n_paths * float(np.sum(dv))
+        se = math.sqrt(2.0 * n_paths * float(np.sum(dv**2)))
         assert abs(total - expected) <= 3.0 * se
+
+    def test_a_step_across_a_breakpoint_has_its_exact_law(self):
+        # one step over both segments: the terminal signal is Normal(V, V)
+        # with V = 0.1^2 / 2 + 10^2 / 2, not the first segment's rate alone
+        sched = InfoSchedule.piecewise([0.5], [0.1, 10.0])
+        model = ElectionModel((1.0, 2.0, 3.0), (1.0, 0.0, 0.0), 1.0, sched)
+        n = 20_000
+        terminal = simulate_paths(model, n, 1, seed=5).signal_paths[:, -1]
+        v = 50.005
+        assert abs(float(terminal.mean()) - v) <= 3.0 * math.sqrt(v / n)
+        assert abs(float(terminal.var(ddof=1)) - v) <= 0.05 * v
 
     def test_input_validation(self, polarised_model):
         with pytest.raises(ValidationError):

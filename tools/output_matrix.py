@@ -3,7 +3,7 @@
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
     python tools/output_matrix.py SRC_DIR OUT_DIR --digests FILE
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 30
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 31
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
 axes, simulate with and without ``--seed 7``, calibrate, calibrate
 ``--data`` on a fixed 201-row poll CSV, on a constant 5-row one and on one
@@ -14,10 +14,10 @@ prior moved onto the second, forecast, deadzone, maxsupport and calibrate
 ``--data`` (the fixed poll CSV) on a near config: every position times
 1e-160, simulate and calibrate ``--data`` on a far config: every
 position times 1e200, aggregate and calibrate ``--data`` on a bad-race
-config: the first two positions swapped, and forecast, deadzone, maxsupport
-and the sigma sweep on a piecewise config: the rate doubled at half the
-horizon) on each config in ``configs/``, in both formats, once to stdout
-and once to ``--out``: 720 runs. The poll CSVs and derived
+config: the first two positions swapped, and forecast, deadzone, maxsupport,
+the sigma sweep and simulate on a piecewise config: the rate doubled at half
+the horizon) on each config in ``configs/``, in both formats, once to stdout
+and once to ``--out``: 744 runs. The poll CSVs and derived
 configs are written to ``OUT_DIR/polls/``. Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
 ``stdout``, ``stderr`` (with SRC_DIR written as ``<src>``), ``exit_code``
@@ -30,7 +30,7 @@ the largest absolute difference between corresponding numbers, or
 "text differs" when more than numbers changed; it exits 1 if any differs.
 Uses only the standard library, so it runs whatever the checkout holds.
 
-``--digests`` runs only the stdout runs (360), in this process through
+``--digests`` runs only the stdout runs (372), in this process through
 ``voteflow.cli.main`` imported from SRC_DIR, with RuntimeWarnings raised as
 errors, and writes FILE: one line per run with its exit code (or the class
 of the exception that escaped) and the SHA-256 of that code and its stdout,
@@ -124,7 +124,7 @@ INVOCATIONS = {
 # no bundled config has a piecewise schedule
 INVOCATIONS.update({
     f"{name}-piecewise": [*INVOCATIONS[name], "--config", "polls/{stem}-piecewise.json"]
-    for name in ("forecast", "deadzone", "maxsupport", "sweep-sigma")
+    for name in ("forecast", "deadzone", "maxsupport", "sweep-sigma", "simulate")
 })
 
 FORMATS = ("json", "csv")
