@@ -314,21 +314,14 @@ def posterior_support(model: ElectionModel, y, t: float) -> np.ndarray:
     return _softmax(_log_weight(model, y, model.schedule.variance(0.0, t)))
 
 
-def _log_weight(model: ElectionModel, y, variance, candidates_first=False) -> np.ndarray:
+def _log_weight(model: ElectionModel, y, variance) -> np.ndarray:
     """Log posterior weights log p_j + y x_j - x_j^2 V / 2 (up to a common
     constant) of signals y[...] at accumulated variances V[...], broadcast
-    together to [..., N], or to [N, ...] with ``candidates_first`` (each
-    candidate's weights one contiguous row; the values are the same bits);
-    a zero prior gives -inf. The model's schedule is not read. Every
-    support, ranking and support peak comes from these."""
+    together to [..., N]; a zero prior gives -inf. The model's schedule is
+    not read. Every support, ranking and support peak comes from these."""
     x, log_p = model.positions_arr, model.log_priors_arr
-    y = np.asarray(y, dtype=np.float64)
-    v = np.asarray(variance, dtype=np.float64)
-    if candidates_first:
-        trailing = (1,) * np.broadcast(y, v).ndim
-        x, log_p = x.reshape(-1, *trailing), log_p.reshape(-1, *trailing)
-    else:
-        y, v = y[..., None], v[..., None]
+    y = np.asarray(y, dtype=np.float64)[..., None]
+    v = np.asarray(variance, dtype=np.float64)[..., None]
     return (log_p - 0.5 * x * x * v) + y * x
 
 

@@ -14,7 +14,16 @@ independent check for every closed-form probability in this package. It
 takes its draws in blocks of ``TALLY_BLOCK``, and each block reads only the
 multiset of its terminal signals, so it draws how many paths each label
 holds (one multinomial count vector) and the signals label by label, not a
-label per path: the same law for the multiset.
+label per path: the same law for the multiset. Weights w_j = fl(c_j +
+fl(x_j y)), c_j = log p_j - x_j^2 V / 2, err by at most u = 2^-53 a
+rounding (2^-1075 for a subnormal product), so by less than e_j = 2u (|c_j|
++ 2 |x_j| Y) + 2^-1022 for |y| <= Y, the block's largest. A pair's exact
+gap is affine in y, so one computed above 2 (e_p + e_q) at both ends of a
+stretch of sorted draws stays positive between them; rounding is monotone,
+so a weight finite (or -inf) at both ends is so between them. A stretch
+whose end draws rank alike, each neighbouring pair of that ranking so apart
+(or its lower weight -inf at both ends; never NaN), holds that ranking and
+no tie; the others are halved down to ``TALLY_LEAF`` draws.
 
 Reproducibility: path simulation draws every label from the stream of
 (seed, 0) and every normal increment from the stream of (seed, 1), each in
@@ -60,7 +69,6 @@ class PathEnsemble:
     seed: int
     n_paths: int
     n_steps: int
-    dt: float
     times: np.ndarray
     latent: np.ndarray
     signal_paths: np.ndarray
@@ -96,15 +104,14 @@ class MonteCarloOutcome:
     ascending lexicographic order. Frequencies and binomial standard errors
     are derived from the counts. Each path is ranked by a stable sort of the
     candidates' log posterior weights, which do not underflow, so trailing
-    candidates are ranked too. The weights depend on the terminal signal
-    alone, so the paths are sorted by it and counted in runs over which the
-    ranking does not change (read from which weight of each pair is larger
-    up to N = 32, from ranking each path beyond), with one ranked path per
-    run: the counts are those of ranking every path alone. The paths come
-    in blocks of ``TALLY_BLOCK``, each from its own stream and sorted and
-    counted alone, and the blocks' counts are added in block order: the
-    outcome is a function of (model, n_paths, seed), whatever the number of
-    threads that tallied it. ``tie_count`` records paths on which two
+    candidates are ranked too. They are affine in the terminal signal, so
+    the paths are sorted by it and a stretch whose end paths rank alike,
+    each neighbouring pair apart by over twice its rounding bound at both
+    ends (see the module docstring), is counted whole; the counts are those
+    of ranking every path alone. The paths come in blocks of
+    ``TALLY_BLOCK``, each from its own stream and sorted and counted alone,
+    added in block order: the outcome is a function of (model, n_paths,
+    seed), whatever the number of threads. ``tie_count`` records paths on which two
     finite weights were exactly equal (resolved toward the lower index);
     zero-prior candidates, all at -inf, are ranked last by index and never
     count as a tie.
@@ -139,6 +146,9 @@ PATH_STEP_BLOCK = 2048
 #: 2^18 draws make the per-block overhead negligible.
 TALLY_BLOCK = 1 << 18
 
+#: Draws in a tally leaf: an uncertified stretch this short is ranked alone.
+TALLY_LEAF = 256
+
 
 def _check_counts(seed, **counts) -> None:
     """Reject a seed that is not an integer >= 0 or a count that is not an
@@ -169,9 +179,7 @@ def simulate_paths(
     normals would otherwise start at an offset that depends on n_paths.
     """
     _check_counts(seed, n_paths=n_paths, n_steps=n_steps)
-    horizon = model.horizon
-    dt = horizon / n_steps
-    times = np.linspace(0.0, horizon, n_steps + 1)
+    times = np.linspace(0.0, model.horizon, n_steps + 1)
     dv = _schedule_variances(model.schedule, times[:-1], times[1:])
 
     latent = _path_rng(seed, 0).choice(model.n_candidates, size=n_paths, p=model.priors_arr)
@@ -184,7 +192,6 @@ def simulate_paths(
         seed=int(seed),
         n_paths=n_paths,
         n_steps=n_steps,
-        dt=dt,
         times=times,
         latent=latent,
         signal_paths=signals,
@@ -233,32 +240,12 @@ def winprob_paths(ensemble: PathEnsemble) -> TrajectoryBundle:
     return TrajectoryBundle(times=ensemble.times, support=bundle.support, win_probs=win)
 
 
-def _compare_pairs(model: ElectionModel, y: np.ndarray, v: float):
-    """Where the ranking changes between neighbours of the sorted signals y
-    (one flag per draw after the first), and which draws hold two equal
-    finite weights, from each pair's comparison w[b] > w[a]: a draw's stable
-    ranking is a function of those bits. A draw with a NaN weight, which the
-    bits do not rank (argsort places it last), is a run of its own."""
-    weight = _log_weight(model, y, v, candidates_first=True)  # [N, m]
-    nan = np.isnan(weight).any(axis=0)
-    flip = nan[1:] | nan[:-1]
-    tie = np.zeros_like(nan)
-    for b in range(1, model.n_candidates):
-        # -inf == -inf, so a tie needs finite weights: zero priors never tie
-        tie |= (weight[b] == weight[:b]).any(axis=0) & np.isfinite(weight[b])
-        above = weight[b] > weight[:b]
-        flip |= (above[:, 1:] != above[:, :-1]).any(axis=0)
-    return flip, tie
-
-
 def _rank_each(model: ElectionModel, y: np.ndarray, v: float):
-    """As ``_compare_pairs``, from a stable argsort of each draw's negated
-    weights; equal finite weights sit side by side once ranked."""
-    weight = _log_weight(model, y, v)  # [m, N]
+    """Each draw's ranking [m, N], a stable argsort of its negated log
+    weights (NaN last), and its weights in that order."""
+    weight = _log_weight(model, y, v)
     order = np.argsort(-weight, axis=1, kind="stable")
-    ranked = np.take_along_axis(weight, order, axis=1)
-    tie = ((ranked[:, 1:] == ranked[:, :-1]) & np.isfinite(ranked[:, 1:])).any(axis=1)
-    return (order[1:] != order[:-1]).any(axis=1), tie
+    return order, np.take_along_axis(weight, order, axis=1)
 
 
 def monte_carlo_win_probabilities(
@@ -328,30 +315,50 @@ def _tally_block(model: ElectionModel, n_paths: int, rng: np.random.Generator):
     # draws by y: draws with one ranking then sit in runs
     held = rng.multinomial(n_paths, model.priors_arr)
     v = model.terminal_variance
-    y = np.repeat(model.positions_arr * v, held) + math.sqrt(v) * rng.standard_normal(n_paths)
+    y = rng.standard_normal(n_paths)
+    y *= math.sqrt(v)
+    ends = np.cumsum(held).tolist()
+    for mean, lo, hi in zip((model.positions_arr * v).tolist(), [0, *ends], ends):
+        y[lo:hi] += mean
     y.sort()
-
-    # a run starts wherever a draw's ranking differs from the draw before's;
-    # steps of about 2^17 weights, each with the draw before it, keep every
-    # pass in cache. Pair comparisons cost O(N^2) a draw and ranking each
-    # draw O(N log N), plus a per-draw overhead that dominates at small N:
-    # the first is the faster up to about N = 32.
     n = model.n_candidates
-    compare = _compare_pairs if n <= 32 else _rank_each
-    start = np.zeros(n_paths, dtype=bool)
-    tied = np.zeros(n_paths, dtype=bool)
-    step = (1 << 17) // n
-    for lo in range(0, n_paths, step):
-        rows = slice(max(lo - 1, 0), lo + step)
-        start[rows][1:], tied[rows] = compare(model, y[rows], v)
-    start[0] = True
+    counts, leaders = collections.Counter(), np.zeros(n)
 
-    # rank one draw per run; runs of one ordering add up
-    starts = np.flatnonzero(start)
-    run_lengths = np.diff(np.r_[starts, n_paths])
-    order = np.argsort(-_log_weight(model, y[starts], v), axis=1, kind="stable")
-    counts = collections.Counter()
-    for key, c in zip(map(tuple, order.tolist()), run_lengths.tolist()):
-        counts[key] += c
-    leaders = np.bincount(order[:, 0], weights=run_lengths, minlength=n)
-    return counts, leaders, int(np.count_nonzero(tied))
+    def add(order, lengths):
+        for key, c in zip(map(tuple, order.tolist()), lengths.tolist()):
+            counts[key] += c
+        leaders[:] += np.bincount(order[:, 0], weights=lengths, minlength=n)
+
+    # certify stretches [lo, hi) of the sorted draws a level at a time, with
+    # the module docstring's e_j; only the weights see the caller's errstate
+    with np.errstate(all="ignore"):
+        y_max, c = np.abs(y[[0, -1]]).max(), np.abs(_log_weight(model, 0.0, v))
+        bound = np.finfo(float).eps * (c + 2.0 * np.abs(model.positions_arr) * y_max) + 2.0**-1022
+    lo, hi, leaves = np.array([0]), np.array([n_paths]), []
+    while lo.size:
+        k = lo.size
+        order, ranked = _rank_each(model, y[np.r_[lo, hi - 1]], v)
+        with np.errstate(all="ignore"):
+            gap = ranked[:, :-1] - ranked[:, 1:]
+            apart = (gap > 2.0 * (bound[order[:, :-1]] + bound[order[:, 1:]])) & (gap < np.inf)
+        dead = ranked[:, 1:] == -np.inf
+        same = (order[:k] == order[k:]).all(axis=1)
+        whole = same & ((apart[:k] & apart[k:]) | (dead[:k] & dead[k:])).all(axis=1)
+        add(order[:k][whole], (hi - lo)[whole])
+        split = ~whole & (hi - lo > TALLY_LEAF)
+        leaves += zip(lo[~whole & ~split].tolist(), hi[~whole & ~split].tolist())
+        mid = (lo + hi) // 2
+        lo, hi = np.r_[lo[split], mid[split]], np.r_[mid[split], hi[split]]
+
+    # rank each leaf draw, 2^17 weights a step (in cache, flat in N)
+    leaf_y = np.concatenate([y[a:b] for a, b in sorted(leaves)] or [y[:0]])
+    tied = 0
+    step = (1 << 17) // n
+    for lo in range(0, leaf_y.size, step):
+        order, ranked = _rank_each(model, leaf_y[lo:lo + step], v)
+        # -inf == -inf, so a tie needs finite weights: zero priors never tie
+        tie = (ranked[:, 1:] == ranked[:, :-1]) & np.isfinite(ranked[:, 1:])
+        tied += int(np.count_nonzero(tie.any(axis=1)))
+        starts = np.flatnonzero(np.r_[True, (order[1:] != order[:-1]).any(axis=1)])
+        add(order[starts], np.diff(np.r_[starts, len(order)]))
+    return counts, leaders, tied

@@ -8,6 +8,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import voteflow
@@ -426,9 +428,10 @@ class TestMonteCarloTally:
         np.testing.assert_array_equal(mc.win_freqs, win_freqs)
         assert mc.tie_count == tie_count
 
-    def test_memory_does_not_grow_with_the_draws(self, polarised_model):
+    def test_memory_does_not_grow_with_the_draws(self, polarised_model, monkeypatch):
         # one pass over 2^23 draws would hold about 128 MB of numpy
-        # buffers; blocks of TALLY_BLOCK draws, one per worker, about 9 MB
+        # buffers; blocks of TALLY_BLOCK draws on two workers peak near 5 MB
+        monkeypatch.setattr(simulation_module.os, "cpu_count", lambda: 2)
         tracemalloc.start()
         try:
             mc = monte_carlo_win_probabilities(polarised_model, 1 << 23, seed=903)
@@ -436,7 +439,23 @@ class TestMonteCarloTally:
         finally:
             tracemalloc.stop()
         assert sum(mc.ordering_counts.values()) == 1 << 23
-        assert peak < 32 << 20
+        assert peak < 10 << 20
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(ElectionModel((0.0, 1.0, 2.0, 3.0), (0.3, 0.2, 0.0, 0.5), 1.0, 1.0), id="zero-prior"),
+        pytest.param(ElectionModel((1e8, 1e8 + 1.0, 1e8 + 2.0), (1 / 3, 1 / 3, 1 / 3), 1.0, 1.0),
+                     id="rounding-noise"),
+    ])
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["leaf-1", "leaf", "leaf+1"])
+    def test_blocks_near_one_leaf_match_the_reference(self, model, extra):
+        # one draw, and a block one short of, at and past a leaf: a block
+        # that is a single stretch, or splits into two unequal ones
+        for n in (1, simulation_module.TALLY_LEAF + extra):
+            mc = monte_carlo_win_probabilities(model, n, seed=904)
+            counts, win_freqs, tie_count = reference_tally(model, n, seed=904)
+            assert list(mc.ordering_counts.items()) == list(counts.items())
+            np.testing.assert_array_equal(mc.win_freqs, win_freqs)
+            assert mc.tie_count == tie_count
 
     @pytest.mark.parametrize("priors, ordering", [
         ((1 / 3, 1 / 3, 1 / 3), (0, 1, 2)),
@@ -560,3 +579,30 @@ class TestMonteCarloTally:
             p = exact.get(ordering, 0.0)
             freq = mc.ordering_counts.get(ordering, 0) / n
             assert abs(freq - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n), ordering
+
+
+@st.composite
+def scaled_races(draw):
+    """Races with one position scale from 1e-3 to 1e3 and some zero priors."""
+    n = draw(st.integers(2, 8))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    gaps = draw(st.lists(st.floats(0.05, 2.0), min_size=n - 1, max_size=n - 1))
+    positions = scale * (draw(st.floats(-3.0, 3.0)) + np.concatenate([[0.0], np.cumsum(gaps)]))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    zeroed = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if not zeroed.all():
+        weights[zeroed] = 0.0
+    rate = draw(st.floats(0.05, 5.0))
+    return ElectionModel(tuple(positions), tuple(weights / weights.sum()), 1.0, rate)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scaled_races(), st.integers(0, 2**31 - 1))
+def test_tally_equals_ranking_every_draw(model, seed):
+    # the tally ranks only the draws it cannot certify; each draw ranked
+    # alone must give the same counts, leaders and ties
+    mc = monte_carlo_win_probabilities(model, 2_000, seed)
+    counts, win_freqs, tie_count = reference_tally(model, 2_000, seed)
+    assert list(mc.ordering_counts.items()) == list(counts.items())
+    np.testing.assert_array_equal(mc.win_freqs, win_freqs)
+    assert mc.tie_count == tie_count

@@ -3,7 +3,7 @@
     python tools/output_matrix.py SRC_DIR OUT_DIR [--compare OTHER_OUT_DIR]
     python tools/output_matrix.py SRC_DIR OUT_DIR --digests FILE
 
-Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 31
+Runs ``python -m voteflow.cli`` with ``PYTHONPATH=SRC_DIR`` for 32
 invocations (forecast, deadzone, maxsupport, aggregate, the three sweep
 axes, simulate with and without ``--seed 7``, calibrate, calibrate
 ``--data`` on a fixed 201-row poll CSV, on a constant 5-row one and on one
@@ -16,8 +16,10 @@ prior moved onto the second, forecast, deadzone, maxsupport and calibrate
 position times 1e200, aggregate and calibrate ``--data`` on a bad-race
 config: the first two positions swapped, and forecast, deadzone, maxsupport,
 the sigma sweep and simulate on a piecewise config: the rate doubled at half
-the horizon) on each config in ``configs/``, in both formats, once to stdout
-and once to ``--out``: 744 runs. The poll CSVs and derived
+the horizon, and simulate on one whose rate doubles at a third of the
+horizon, off the 250-step grid, so that a path step straddles the
+breakpoint) on each config in ``configs/``, in both formats, once to stdout
+and once to ``--out``: 768 runs. The poll CSVs and derived
 configs are written to ``OUT_DIR/polls/``. Each run leaves
 ``OUT_DIR/<config>/<invocation>/<format>-<destination>/`` holding
 ``stdout``, ``stderr`` (with SRC_DIR written as ``<src>``), ``exit_code``
@@ -126,6 +128,7 @@ INVOCATIONS.update({
     f"{name}-piecewise": [*INVOCATIONS[name], "--config", "polls/{stem}-piecewise.json"]
     for name in ("forecast", "deadzone", "maxsupport", "sweep-sigma", "simulate")
 })
+INVOCATIONS["simulate-piecewise-third"] = ["simulate", "--config", "polls/{stem}-piecewise-third.json"]
 
 FORMATS = ("json", "csv")
 
@@ -201,11 +204,13 @@ def write_bad_race(config: dict, stem: str, polls: Path) -> None:
 
 
 def write_piecewise(config: dict, stem: str, polls: Path) -> None:
-    """The config with its constant rate doubled at half the horizon."""
+    """The config with its constant rate doubled at half the horizon, and
+    at a third of it."""
     horizon, sigma = config["horizon_years"], config["sigma"]
-    schedule = {"breakpoints": [horizon / 2], "rates": [sigma, 2 * sigma]}
-    text = json.dumps({**config, "sigma": schedule}, indent=2)
-    (polls / f"{stem}-piecewise.json").write_text(text + "\n", encoding="utf-8")
+    for label, breakpoint in [("piecewise", horizon / 2), ("piecewise-third", horizon / 3)]:
+        schedule = {"breakpoints": [breakpoint], "rates": [sigma, 2 * sigma]}
+        text = json.dumps({**config, "sigma": schedule}, indent=2)
+        (polls / f"{stem}-{label}.json").write_text(text + "\n", encoding="utf-8")
 
 
 def arguments(stem: str, name: str, fmt: str) -> list[str]:
