@@ -253,11 +253,10 @@ class ElectionModel:
 
     @cached_property
     def log_priors_arr(self) -> np.ndarray:
-        """log priors with zeros mapped to -inf (no runtime warnings)."""
-        arr = np.array(
-            [math.log(p) if p > 0.0 else -math.inf for p in self.priors],
-            dtype=np.float64,
-        )
+        """log priors with zeros mapped to -inf (no runtime warnings): numpy's
+        log, as ``_crossings`` takes it, so both read the same bits."""
+        with np.errstate(divide="ignore"):
+            arr = np.log(self.priors_arr)
         arr.flags.writeable = False
         return arr
 

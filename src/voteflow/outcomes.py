@@ -219,8 +219,8 @@ def _win_kernel(positions, priors, variance) -> np.ndarray:
     and terminal accumulated variances [...] broadcast to a result [..., N].
 
     Candidate k wins with the ``_lead_masses`` of its lead interval, whose
-    live intervals tile the line: bit for bit ``win_probabilities`` of each
-    race, for up to 7 candidates (numpy sums longer rows pairwise)."""
+    live intervals tile the line, its laws summed in index order: bit for
+    bit ``win_probabilities`` of each race, at any number of candidates."""
     x = np.asarray(positions, dtype=np.float64)
     p = np.asarray(priors, dtype=np.float64)
     v = np.asarray(variance, dtype=np.float64)
@@ -247,7 +247,8 @@ def _lead_masses(ends, x, p, v) -> np.ndarray:
     # before it; an empty interval's or a dead law's end adds 0
     before = (ends[0][..., :, None] == ends[1][..., None, :]) & live[..., :, None]
     t_lower = before @ t_upper
-    return (p[..., None, :] * normal_masses(z, (t_lower, t_upper))).sum(axis=-1)
+    # a running sum adds the laws in index order, as interval_probability does
+    return np.cumsum(p[..., None, :] * normal_masses(z, (t_lower, t_upper)), axis=-1)[..., -1]
 
 
 def two_candidate_win_probability(p: float, sigma: float, horizon: float) -> float:

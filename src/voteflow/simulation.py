@@ -265,7 +265,6 @@ def monte_carlo_win_probabilities(
     (model, n_paths, seed) alone, never on the CPU count.
     """
     _check_counts(seed, n_paths=n_paths)
-    n = model.n_candidates
     sizes = [min(TALLY_BLOCK, n_paths - lo) for lo in range(0, n_paths, TALLY_BLOCK)]
     # numpy's error state is per thread (a context variable): each block
     # runs under the caller's
@@ -287,13 +286,13 @@ def monte_carlo_win_probabilities(
             tallies = list(pool.map(tally, range(len(sizes))))
 
     counts = collections.Counter()
-    leaders = np.zeros(n)
-    tie_count = 0
-    for block_counts, block_leaders, block_ties in tallies:
+    for block_counts, _ in tallies:
         counts.update(block_counts)
-        leaders += block_leaders
-        tie_count += block_ties
-    # integer-valued sums below 2^53: the frequencies are exact
+    # each ordering's count goes to its leader: integer-valued sums below
+    # 2^53, so the frequencies are exact
+    leaders = np.zeros(model.n_candidates)
+    for key, c in counts.items():
+        leaders[key[0]] += c
     win_freqs = leaders / n_paths
     win_se = np.sqrt(win_freqs * (1.0 - win_freqs) / n_paths)
     return MonteCarloOutcome(
@@ -302,14 +301,14 @@ def monte_carlo_win_probabilities(
         ordering_counts=dict(sorted(counts.items())),
         win_freqs=win_freqs,
         win_std_errors=win_se,
-        tie_count=tie_count,
+        tie_count=sum(ties for _, ties in tallies),
     )
 
 
 def _tally_block(model: ElectionModel, n_paths: int, rng: np.random.Generator):
-    """One block's ordering counts, leader counts [N] and tied draws, from
-    n_paths draws of ``rng``. Reads the model's arrays and calls only
-    private kernels, so blocks may run on any thread."""
+    """One block's ordering counts and tied draws, from n_paths draws of
+    ``rng``. Reads the model's arrays and calls only private kernels, so
+    blocks may run on any thread."""
     # the tally is a function of the multiset of draws, so it draws how many
     # paths each label holds, not which path holds which, and orders the
     # draws by y: draws with one ranking then sit in runs
@@ -321,13 +320,11 @@ def _tally_block(model: ElectionModel, n_paths: int, rng: np.random.Generator):
     for mean, lo, hi in zip((model.positions_arr * v).tolist(), [0, *ends], ends):
         y[lo:hi] += mean
     y.sort()
-    n = model.n_candidates
-    counts, leaders = collections.Counter(), np.zeros(n)
+    counts = collections.Counter()
 
     def add(order, lengths):
         for key, c in zip(map(tuple, order.tolist()), lengths.tolist()):
             counts[key] += c
-        leaders[:] += np.bincount(order[:, 0], weights=lengths, minlength=n)
 
     # certify stretches [lo, hi) of the sorted draws a level at a time, with
     # the module docstring's e_j; only the weights see the caller's errstate
@@ -353,7 +350,7 @@ def _tally_block(model: ElectionModel, n_paths: int, rng: np.random.Generator):
     # rank each leaf draw, 2^17 weights a step (in cache, flat in N)
     leaf_y = np.concatenate([y[a:b] for a, b in sorted(leaves)] or [y[:0]])
     tied = 0
-    step = (1 << 17) // n
+    step = (1 << 17) // model.n_candidates
     for lo in range(0, leaf_y.size, step):
         order, ranked = _rank_each(model, leaf_y[lo:lo + step], v)
         # -inf == -inf, so a tie needs finite weights: zero priors never tie
@@ -361,4 +358,4 @@ def _tally_block(model: ElectionModel, n_paths: int, rng: np.random.Generator):
         tied += int(np.count_nonzero(tie.any(axis=1)))
         starts = np.flatnonzero(np.r_[True, (order[1:] != order[:-1]).any(axis=1)])
         add(order[starts], np.diff(np.r_[starts, len(order)]))
-    return counts, leaders, tied
+    return counts, tied

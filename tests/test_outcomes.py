@@ -67,6 +67,16 @@ class TestCrossingThreshold:
             b = crossing_threshold(model, int(j), int(k))
             assert a == b
 
+    def test_reads_the_log_priors_of_the_log_weights(self):
+        # one log of the priors, so a crossing is where two log weights meet
+        model = ElectionModel(
+            (1.0, 2.0, 3.0), (0.2393822393822394, 0.3783783783783784, 0.38223938223938225), 1.0, 1.0
+        )
+        x, log_p = model.positions, model.log_priors_arr.tolist()
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            want = (log_p[b] - log_p[a]) / (x[a] - x[b]) + (0.5 * x[a] + 0.5 * x[b]) * 1.0
+            assert crossing_threshold(model, a, b) == want
+
     def test_zero_prior_gives_infinite_threshold(self):
         # a zero-prior candidate on the right can never overtake: crossing at
         # +inf; on the left the supported candidate leads everywhere: -inf
