@@ -152,6 +152,12 @@ def estimate_sigma_historic(series: PollSeries) -> SigmaEstimate:
     return SigmaEstimate(sigma=sigma, standard_error=standard_error, effective_increments=m_eff)
 
 
+def _check_target(target: float) -> None:
+    """The one rule for a target win probability: it lies in [0, 1]."""
+    if not (0.0 <= target <= 1.0):
+        raise ValidationError(f"target probability must lie in [0, 1], got {target}")
+
+
 def implied_sigma(model: ElectionModel, candidate: int, target: float) -> tuple[float, ...]:
     """All constant rates at which the candidate's win probability hits target.
 
@@ -171,8 +177,7 @@ def implied_sigma(model: ElectionModel, candidate: int, target: float) -> tuple[
     on the other side of it. Raises Unattainable when the scan never meets
     or crosses the target.
     """
-    if not (0.0 <= target <= 1.0):
-        raise ValidationError(f"target probability must lie in [0, 1], got {target}")
+    _check_target(target)
     n = model.n_candidates
     if not _is_index(candidate, 0, n):
         raise ValidationError(f"candidate index {candidate!r} is not an integer in [0, {n})")

@@ -31,13 +31,12 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO
 import numpy as np
 
 from .aggregation import SourceSet, aggregate_n
-from .calibration import PollSeries, estimate_sigma_historic, implied_sigma
+from .calibration import PollSeries, _check_target, estimate_sigma_historic, implied_sigma
 from .errors import (
     ConfigError,
     CsvDataError,
     DegenerateSeriesWarning,
     MissingSweepBlock,
-    NonIncreasingPositions,
     NonPositiveRate,
     NumericalError,
     ValidationError,
@@ -49,6 +48,7 @@ from .simulation import simulate_paths, winprob_paths
 from .strategy import (
     _max_support_points,
     _simplex_cells,
+    _variant,
     is_dead_zone,
     max_support_curve,
     sweep_positions,
@@ -89,7 +89,7 @@ class ScenarioConfig:
     prior_grid: Optional[tuple[tuple[float, ...], ...]] = None
     position_variants: Optional[tuple[tuple[float, ...], ...]] = None
     simulation: Optional[dict] = None
-    sources: Optional[dict] = None
+    sources: Optional[SourceSet] = None
     target: Optional[dict] = None
 
 
@@ -222,9 +222,10 @@ def load_config(path: str) -> ScenarioConfig:
                 # built once its size is known; looked up as it runs, so a test can refuse it
                 prior_grid = strategy.simplex_grid(len(names), step)
         if "position_variants" in sweep:
-            position_variants = _vectors(
-                sweep["position_variants"], f"{path}.sweep.position_variants"
-            )
+            position_variants = _vectors(sweep["position_variants"], f"{path}.sweep.position_variants")
+            for i, variant in enumerate(position_variants):
+                with _field(f"{path}.sweep.position_variants[{i}]"):
+                    _variant(variant, len(names))
 
     simulation = raw.get("simulation")
     if simulation is not None:
@@ -249,7 +250,8 @@ def load_config(path: str) -> ScenarioConfig:
             raise ConfigError(f"{ctx}: expected an object")
         rates = _float_list(_require(sources, "rates", list, ctx), f"{ctx}.rates")
         matrix = _vectors(_require(sources, "correlation", list, ctx), f"{ctx}.correlation")
-        sources = {"rates": rates, "correlation": matrix}
+        with _field(ctx):
+            sources = SourceSet(rates=rates, correlation=matrix)
 
     target = raw.get("target")
     if target is not None:
@@ -259,10 +261,10 @@ def load_config(path: str) -> ScenarioConfig:
         cand = _require(target, "candidate", str, ctx)
         if cand not in names:
             raise ConfigError(f"{ctx}.candidate: unknown candidate {cand!r}")
-        target = {
-            "candidate": cand,
-            "win_probability": _require(target, "win_probability", float, ctx),
-        }
+        win = _require(target, "win_probability", float, ctx)
+        with _field(f"{ctx}.win_probability"):
+            _check_target(win)
+        target = {"candidate": cand, "win_probability": win}
 
     return ScenarioConfig(
         names=tuple(names),
@@ -424,8 +426,7 @@ def cmd_forecast(args, cfg: ScenarioConfig) -> Report:
     outcome = win_probabilities(model)
     partition = outcome.partition
     ordering_probs = {
-        _ordering_label(cell.ordering, cfg.names): outcome.ordering_probs[cell.ordering]
-        for cell in partition.cells
+        _ordering_label(ordering, cfg.names): p for ordering, p in outcome.ordering_probs.items()
     }
     ordering_sum = math.fsum(outcome.ordering_probs.values())
     dead_zones = {name: is_dead_zone(model, i).is_dead for i, name in enumerate(cfg.names)}
@@ -491,10 +492,7 @@ def cmd_sweep(args, cfg: ScenarioConfig) -> Report:
     else:  # positions
         if not cfg.position_variants:
             raise MissingSweepBlock("position sweep needs sweep.position_variants in the config")
-        with (
-            _field(f"{args.config}.sweep.position_variants", NonIncreasingPositions),
-            _field(f"{args.config}.horizon_years", NonPositiveRate),
-        ):
+        with _field(f"{args.config}.horizon_years", NonPositiveRate):
             table = sweep_positions(model, cfg.position_variants, cfg.sigma_grid)
         axis_columns = ["sigma"]
         for vi, variant in enumerate(cfg.position_variants):
@@ -601,21 +599,19 @@ def cmd_maxsupport(args, cfg: ScenarioConfig) -> Report:
 def cmd_aggregate(args, cfg: ScenarioConfig) -> Report:
     if cfg.sources is None:
         raise ConfigError(f"{args.config}: aggregate needs a sources block")
-    with _field(f"{args.config}.sources"):
-        sources = SourceSet(rates=cfg.sources["rates"], correlation=cfg.sources["correlation"])
-    channel = aggregate_n(sources)
+    channel = aggregate_n(cfg.sources)
     w = channel.noise_weights
     return Report(
         json={
             "effective_sigma": channel.sigma,
             "noise_weights": w,
-            "noise_variance_check": float(w @ sources.correlation @ w),
+            "noise_variance_check": float(w @ cfg.sources.correlation @ w),
             "rate_gradient": channel.rate_gradient,
         },
         meta={"effective_sigma": _fmt(channel.sigma)},
         header=["source", "rate", "noise_weight"],
         kinds=[int, float, float],
-        rows=list(zip(range(len(w)), sources.rates.tolist(), w.tolist())),
+        rows=list(zip(range(len(w)), cfg.sources.rates.tolist(), w.tolist())),
     )
 
 
@@ -680,7 +676,7 @@ def cmd_calibrate(args, cfg: ScenarioConfig) -> Report:
         rows.append(("historic", est.sigma))
     if cfg.target is not None:
         k = cfg.names.index(cfg.target["candidate"])
-        with _field(f"{args.config}.target.win_probability"):
+        with _field(f"{args.config}.horizon_years", NonPositiveRate):  # the scan's rate grid
             solutions = implied_sigma(cfg.model, k, cfg.target["win_probability"])
         obj["implied"] = {
             "candidate": cfg.target["candidate"],

@@ -306,10 +306,12 @@ def posterior_support(model: ElectionModel, y, t: float) -> np.ndarray:
     Accepts a scalar y (returns shape (N,)) or an array of signals (returns
     shape y.shape + (N,)). Weights are formed in the log domain with a
     max-shift, so no overflow occurs even for |y| up to 1e6; candidates with
-    a zero prior get exactly zero support.
+    a zero prior get exactly zero support. Every y must be finite.
     """
     if not (0.0 <= t <= model.horizon):
         raise OutOfRangeTime(f"t={t} outside [0, {model.horizon}]")
+    if not np.isfinite(np.asarray(y, dtype=np.float64)).all():
+        raise ValidationError(f"y must be finite, got {y}")
     return _softmax(_log_weight(model, y, model.schedule.variance(0.0, t)))
 
 

@@ -326,6 +326,14 @@ def sweep_sigma(
     )
 
 
+def _variant(values, n: int) -> tuple[float, ...]:
+    """A position variant of an n-candidate race: n positions, checked as a model's are."""
+    variant = _positions(values)
+    if len(variant) != n:
+        raise NonIncreasingPositions(f"variant {variant} has {len(variant)} positions, need {n}")
+    return variant
+
+
 def sweep_positions(
     base_model: ElectionModel,
     variants: Sequence[Sequence[float]],
@@ -340,10 +348,7 @@ def sweep_positions(
     """
     grid = tuple(sigma_grid) if sigma_grid is not None else default_sigma_grid()
     n = base_model.n_candidates
-    variants = [_positions(v) for v in variants]
-    for v in variants:
-        if len(v) != n:
-            raise NonIncreasingPositions(f"variant {v} has {len(v)} positions, need {n}")
+    variants = [_variant(v, n) for v in variants]
     variances = _rate_variances(grid, base_model.horizon)
     base = _win_kernel(base_model.positions_arr, base_model.priors_arr, variances)
     # [sigma, variant, k], so each sigma's variants sit side by side

@@ -603,6 +603,18 @@ class TestCalibrate:
         obj = json.loads(capsys.readouterr().out)
         assert obj["implied"]["solutions"][0] == pytest.approx(1.2, abs=1e-6)
 
+    def test_scan_grid_rejection_names_horizon(self, tmp_path, capsys):
+        # the model's own variance 5e-324 is valid, but the scan's rates
+        # underflow it to 0: the horizon is at fault, not the target
+        payload = json.loads((CONFIG_DIR / "two_candidate_week_out.json").read_text(encoding="utf-8"))
+        payload.update(horizon_years=5e-324, sigma=1)
+        cfg = write_config(tmp_path, payload)
+        assert main(["calibrate", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {cfg}.horizon_years: sigma rates (0.0001,) ")
+        assert "win_probability" not in err
+
     def test_malformed_csv_reports_row_number(self, tmp_path, capsys):
         cfg = write_config(tmp_path, POLARISED_CONFIG)
         path = tmp_path / "bad.csv"
@@ -849,7 +861,7 @@ class TestConfigRejections:
             ({"sweep": {"prior_grid": [[0.5, 0.5]]}}, ["sweep", "--axis", "priors"],
              "sweep.prior_grid[0]"),
             ({"sweep": {"position_variants": [[3.0, 2.0, 1.0]]}}, ["sweep", "--axis", "positions"],
-             "sweep.position_variants"),
+             "sweep.position_variants[0]"),
             ({"target": {"candidate": "left", "win_probability": 1.5}}, ["calibrate"],
              "target.win_probability"),
             ({"sources": {"rates": [1.0, 1.0], "correlation": [[1.0, 2.0], [2.0, 1.0]]}},
@@ -864,6 +876,29 @@ class TestConfigRejections:
         cfg = write_config(tmp_path, {**POLARISED_CONFIG, **block})
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
         assert f"error: {cfg}.{field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["forecast", "deadzone"])
+    @pytest.mark.parametrize(
+        "block, field",
+        [
+            ({"sweep": {"position_variants": [[1.0, 2.0, 3.5], [1.0, 0.5, 3.9]]}},
+             "sweep.position_variants[1]"),
+            ({"sweep": {"position_variants": [[1.0, 2.0]]}}, "sweep.position_variants[0]"),
+            ({"sources": {"rates": [1.0, 1.0], "correlation": [[1.0, 1.5], [1.5, 1.0]]}},
+             "sources"),
+            ({"target": {"candidate": "left", "win_probability": 1.5}}, "target.win_probability"),
+        ],
+        ids=["decreasing-variant", "short-variant", "correlation-1.5", "target-1.5"],
+    )
+    def test_every_block_is_checked_as_the_config_is_read(
+        self, tmp_path, capsys, command, block, field
+    ):
+        # a subcommand that never reads the block still refuses the config
+        cfg = write_config(tmp_path, {**POLARISED_CONFIG, **block})
+        assert main([command, "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {cfg}.{field}: ")
 
 
     @pytest.mark.parametrize(

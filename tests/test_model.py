@@ -20,6 +20,7 @@ from voteflow.errors import (
     OutOfRangeInterval,
     OutOfRangeTime,
     PriorsNotNormalized,
+    ValidationError,
 )
 
 from voteflow.model import _rate_variances, _schedule_variances, _terminal_variance
@@ -246,6 +247,16 @@ class TestPosterior:
         for y in (-5.0, 0.0, 3.0, 1e5):
             support = posterior_support(model, y, 1.0)
             assert support[1] == 0.0
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, [0.0, math.nan]],
+                             ids=["nan", "inf", "-inf", "array"])
+    def test_non_finite_signal_is_named(self, polarised_model, y):
+        # no NaN supports, no numpy warning, no complaint about priors never given
+        with pytest.raises(ValidationError, match="^y must be finite"):
+            posterior_support(polarised_model, y, 0.5)
+        if not isinstance(y, list):
+            with pytest.raises(ValidationError, match="^y must be finite"):
+                condition_on_history(polarised_model, y, 0.5)
 
     def test_vectorized_matches_scalar(self, polarised_model):
         y = np.array([-2.0, 0.0, 1.5])
