@@ -603,18 +603,6 @@ class TestCalibrate:
         obj = json.loads(capsys.readouterr().out)
         assert obj["implied"]["solutions"][0] == pytest.approx(1.2, abs=1e-6)
 
-    def test_scan_grid_rejection_names_horizon(self, tmp_path, capsys):
-        # the model's own variance 5e-324 is valid, but the scan's rates
-        # underflow it to 0: the horizon is at fault, not the target
-        payload = json.loads((CONFIG_DIR / "two_candidate_week_out.json").read_text(encoding="utf-8"))
-        payload.update(horizon_years=5e-324, sigma=1)
-        cfg = write_config(tmp_path, payload)
-        assert main(["calibrate", "--config", cfg]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"error: {cfg}.horizon_years: sigma rates (0.0001,) ")
-        assert "win_probability" not in err
-
     def test_malformed_csv_reports_row_number(self, tmp_path, capsys):
         cfg = write_config(tmp_path, POLARISED_CONFIG)
         path = tmp_path / "bad.csv"
@@ -831,21 +819,22 @@ class TestConfigRejections:
             assert "error: invalid model parameters: sigma " in err and named in err
 
     @pytest.mark.parametrize(
-        "sweep, argv",
+        "block, argv",
         [
-            (None, ["sweep", "--axis", "sigma"]),
-            (None, ["maxsupport"]),
-            ({"position_variants": [[1.0, 2.0, 3.5]]}, ["sweep", "--axis", "positions"]),
+            ({}, ["sweep", "--axis", "sigma"]),
+            ({}, ["maxsupport"]),
+            ({"sweep": {"position_variants": [[1.0, 2.0, 3.5]]}}, ["sweep", "--axis", "positions"]),
+            ({"target": {"candidate": "left", "win_probability": 0.5}}, ["calibrate"]),
         ],
-        ids=["sweep-sigma", "maxsupport", "sweep-positions"],
+        ids=["sweep-sigma", "maxsupport", "sweep-positions", "calibrate-implied"],
     )
-    def test_default_rate_grid_rejection_names_horizon(self, tmp_path, capsys, sweep, argv):
-        # the model's own variance 5e-324 is valid, but the default grid's
-        # rates underflow it to 0: the config holds no sweep.sigma_grid to blame
+    def test_default_rate_grid_rejection_names_horizon(self, tmp_path, capsys, block, argv):
+        # the model's own variance 5e-324 is valid, but the default grid's (or
+        # the implied-rate scan's) rates underflow it to 0: the config holds no
+        # sweep.sigma_grid to blame, and the target is not at fault
         payload = polarised_payload()
         payload["horizon_years"] = 5e-324
-        if sweep is not None:
-            payload["sweep"] = sweep
+        payload.update(block)
         cfg = write_config(tmp_path, payload)
         assert main(["forecast", "--config", cfg]) == 0
         capsys.readouterr()
@@ -853,7 +842,7 @@ class TestConfigRejections:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"error: {cfg}.horizon_years: " in err
-        assert "sigma_grid" not in err
+        assert "sigma_grid" not in err and "win_probability" not in err
 
     @pytest.mark.parametrize(
         "block, argv, field",
@@ -868,37 +857,32 @@ class TestConfigRejections:
              ["aggregate"], "sources"),
             ({"sources": {"rates": [1.0, 1.0], "correlation": [[1.0], [0.5, 1.0]]}},
              ["aggregate"], "sources"),
+            # every block is checked as the config is read, also where no subcommand reads it
+            ({"sweep": {"position_variants": [[1.0, 2.0, 3.5], [1.0, 0.5, 3.9]]}}, ["forecast"],
+             "sweep.position_variants[1]"),
+            ({"sweep": {"position_variants": [[1.0, 0.5, 3.9]]}}, ["deadzone"],
+             "sweep.position_variants[0]"),
+            ({"sweep": {"position_variants": [[1.0, 2.0]]}}, ["forecast"],
+             "sweep.position_variants[0]"),
+            ({"sources": {"rates": [1.0, 1.0], "correlation": [[1.0, 1.5], [1.5, 1.0]]}},
+             ["forecast"], "sources"),
+            ({"sources": {"rates": [1.0, 1.0], "correlation": [[1.0, 1.5], [1.5, 1.0]]}},
+             ["deadzone"], "sources"),
+            ({"target": {"candidate": "left", "win_probability": 1.5}}, ["forecast"],
+             "target.win_probability"),
+            ({"target": {"candidate": "left", "win_probability": 1.5}}, ["deadzone"],
+             "target.win_probability"),
         ],
-        ids=["prior-grid", "position-variants", "target", "sources", "sources-ragged"],
+        ids=["prior-grid", "position-variants", "target", "sources", "sources-ragged",
+             "variant-forecast", "variant-deadzone", "short-variant-forecast",
+             "correlation-1.5-forecast", "correlation-1.5-deadzone", "target-1.5-forecast",
+             "target-1.5-deadzone"],
     )
     def test_library_rejection_names_its_field(self, tmp_path, capsys, block, argv, field):
         # the library decides what is invalid; the CLI says where it came from
         cfg = write_config(tmp_path, {**POLARISED_CONFIG, **block})
         assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
         assert f"error: {cfg}.{field}: " in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["forecast", "deadzone"])
-    @pytest.mark.parametrize(
-        "block, field",
-        [
-            ({"sweep": {"position_variants": [[1.0, 2.0, 3.5], [1.0, 0.5, 3.9]]}},
-             "sweep.position_variants[1]"),
-            ({"sweep": {"position_variants": [[1.0, 2.0]]}}, "sweep.position_variants[0]"),
-            ({"sources": {"rates": [1.0, 1.0], "correlation": [[1.0, 1.5], [1.5, 1.0]]}},
-             "sources"),
-            ({"target": {"candidate": "left", "win_probability": 1.5}}, "target.win_probability"),
-        ],
-        ids=["decreasing-variant", "short-variant", "correlation-1.5", "target-1.5"],
-    )
-    def test_every_block_is_checked_as_the_config_is_read(
-        self, tmp_path, capsys, command, block, field
-    ):
-        # a subcommand that never reads the block still refuses the config
-        cfg = write_config(tmp_path, {**POLARISED_CONFIG, **block})
-        assert main([command, "--config", cfg]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"error: {cfg}.{field}: ")
 
 
     @pytest.mark.parametrize(
