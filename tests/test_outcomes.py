@@ -72,9 +72,9 @@ class TestCrossingThreshold:
         model = ElectionModel(
             (1.0, 2.0, 3.0), (0.2393822393822394, 0.3783783783783784, 0.38223938223938225), 1.0, 1.0
         )
-        x, log_p = model.positions, model.log_priors_arr.tolist()
+        x, log_p, v = model.positions, model.log_priors_arr.tolist(), model.terminal_variance
         for a, b in ((0, 1), (0, 2), (1, 2)):
-            want = (log_p[b] - log_p[a]) / (x[a] - x[b]) + (0.5 * x[a] + 0.5 * x[b]) * 1.0
+            want = (log_p[b] - log_p[a]) / (x[a] - x[b]) + (0.5 * x[a] + 0.5 * x[b]) * v
             assert crossing_threshold(model, a, b) == want
 
     def test_zero_prior_gives_infinite_threshold(self):

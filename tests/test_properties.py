@@ -246,7 +246,7 @@ def wide_races(draw):
 @PROPERTY_SETTINGS
 @given(wide_races())
 @example(ElectionModel((0.0, 2.5, 5.0), (0.3, 0.4, 0.3), 1.0, 1e3**0.5))  # ends at |z| = 39.5
-@example(ElectionModel(tuple(range(9)), (1 / 9,) * 9, 1.0, 1.0))  # past numpy's pairwise cut
+@example(ElectionModel(tuple(range(9)), (1 / 9,) * 9, 1.0, 1.0))  # numpy sums 8 or more terms pairwise
 @example(ElectionModel(tuple(range(12)), (1 / 12,) * 12, 1.0, 1.0))
 def test_kernel_matches_scalar_interval_masses(model):
     # the batched tail-value kernel against the scalar interval probability
